@@ -10,8 +10,13 @@ also the cap radius the variability classifier uses at that level.
 Included: the Cantor staircase coefficient, indicator coefficients
 (interval, disk, half-plane, cone), Lipschitz wrappers, piecewise-constant
 matrix coefficients with explicit inverses, mollification by a flat bump,
-Cayley-Hamilton matrix inversion, and structural checks (curl residual of
-the inverse field, distortion/angular constants).
+and structural checks (curl residual of the inverse field,
+distortion/angular constants).
+
+Every matrix inverse and determinant in the package comes from one batched
+Faddeev-LeVerrier (Cayley-Hamilton) recursion, ``batch_inverse``, which
+inverts a stack (m, n, n) in one pass and applies the determinant floor;
+``cayley_inverse``, ``matrix_det`` and ``inverse_matrix_field`` wrap it.
 """
 
 from __future__ import annotations
@@ -349,7 +354,7 @@ def _segment_measure(p0: np.ndarray, p1: np.ndarray, box: np.ndarray, level: int
     return DiscreteMeasure(dim, loc, w)
 
 
-def halfplane_below_line(c: float, box_hint: float = 16.0) -> ScalarBV:
+def halfplane_below_line(c: float) -> ScalarBV:
     """Indicator of {c*x1 < x2} in the plane; gradient measure = arclength
     on the line x2 = c*x1 inside the requested box."""
 
@@ -615,45 +620,50 @@ class SingularMatrixError(ValueError):
         self.floor = floor
 
 
-def _leverrier_terms(A: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Faddeev-LeVerrier recursion: returns (M, c_n, det) where
-    M = A^{n-1} + c_1 A^{n-2} + ... + c_{n-1} I is the matrix polynomial
-    whose quotient by -c_n is the inverse, the c_k being the
-    trace/Bell-polynomial coefficients of the characteristic polynomial,
-    and det = (-1)^n c_n."""
-    n = A.shape[0]
-    M = np.eye(n)
+def batch_inverse(mats: np.ndarray,
+                  det_floor: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses and determinants of a batch of matrices (m, n, n) by the
+    Faddeev-LeVerrier recursion, the matrix-polynomial (Cayley-Hamilton)
+    route: M = A^{n-1} + c_1 A^{n-2} + ... + c_{n-1} I, the c_k being the
+    trace coefficients of the characteristic polynomial, gives
+    A^{-1} = -M / c_n and det A = (-1)^n c_n.
+
+    Raises SingularMatrixError, carrying the determinant of smallest
+    magnitude, when that magnitude is at or below det_floor.
+    """
+    mats = np.asarray(mats, dtype=float)
+    n = mats.shape[-1]
+    eye = np.eye(n)
+    M = np.broadcast_to(eye, mats.shape).copy()
     for k in range(1, n):
-        AM = A @ M
-        c = -np.trace(AM) / k
-        M = AM + c * np.eye(n)
-    c_n = -np.trace(A @ M) / n
+        AM = mats @ M
+        c = -np.einsum("mii->m", AM) / k
+        M = AM + c[:, None, None] * eye
+    c_n = -np.einsum("mii->m", mats @ M) / n
     det = (-1.0) ** n * c_n
-    return M, c_n, det
+    if np.any(np.abs(det) <= det_floor):
+        j = int(np.argmin(np.abs(det)))
+        raise SingularMatrixError(float(det[j]), det_floor)
+    return -M / c_n[:, None, None], det
 
 
 def matrix_det(A: np.ndarray) -> float:
-    return _leverrier_terms(np.asarray(A, dtype=float))[2]
+    # no floor: a singular A has determinant 0 and an unused inverse of inf/nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(batch_inverse(np.asarray(A, dtype=float)[None], -np.inf)[1][0])
 
 
 def cayley_inverse(sigma: MatrixBV | np.ndarray, x: Optional[np.ndarray] = None,
                    det_floor: float = 1e-12) -> np.ndarray:
-    """Inverse of sigma(x) assembled as a matrix polynomial over the
-    determinant (Cayley-Hamilton route): A^{-1} = -M / c_n with M and c_n
-    from the Faddeev-LeVerrier recursion.
-
-    Accepts either a MatrixBV plus a point, or a plain matrix.
-    """
+    """Inverse of sigma(x) by batch_inverse, for a MatrixBV plus a point or
+    for a plain matrix."""
     if isinstance(sigma, MatrixBV):
         if x is None:
             raise ValueError("a point is required with a MatrixBV input")
         A = sigma.evaluate(np.asarray(x, dtype=float))
     else:
         A = np.asarray(sigma, dtype=float)
-    M, c_n, det = _leverrier_terms(A)
-    if abs(det) <= det_floor:
-        raise SingularMatrixError(det, det_floor)
-    return -M / c_n
+    return batch_inverse(A[None], det_floor)[0][0]
 
 
 def inverse_matrix_field(sigma: MatrixBV, det_floor: float = 1e-12) -> MatrixBV:
@@ -661,12 +671,7 @@ def inverse_matrix_field(sigma: MatrixBV, det_floor: float = 1e-12) -> MatrixBV:
     no gradient-measure generator)."""
     def make_entry(j, k):
         def ev(pts):
-            pts = np.atleast_2d(pts)
-            mats = sigma.evaluate(pts)
-            out = np.empty(len(pts))
-            for i in range(len(pts)):
-                out[i] = cayley_inverse(mats[i], det_floor=det_floor)[j, k]
-            return out
+            return batch_inverse(sigma.evaluate(np.atleast_2d(pts)), det_floor)[0][:, j, k]
         return ScalarBV(sigma.dim, ev, None, name=f"inv({sigma.name})[{j}{k}]")
 
     e = tuple(tuple(make_entry(j, k) for k in range(sigma.dim)) for j in range(sigma.dim))
@@ -735,16 +740,14 @@ def distortion_check(sigma: MatrixBV, probes: np.ndarray,
         rng = np.random.default_rng(0)
         xis = rng.standard_normal((n_directions, n))
         xis /= np.linalg.norm(xis, axis=1, keepdims=True)
-    kappa = -np.inf
-    delta = np.inf
-    for x in probes:
-        A = sigma.evaluate(x)
-        Ainv = cayley_inverse(A, det_floor=det_floor)
-        op = np.linalg.svd(Ainv, compute_uv=False)[0]
-        kappa = max(kappa, op ** n / matrix_det(Ainv))
-        Axi = xis @ A.T
-        num = np.einsum("ij,ij->i", xis, Axi)
-        den = np.linalg.norm(Axi, axis=1)
-        ok = den > 0
-        delta = min(delta, float((num[ok] / den[ok]).min()))
+    A = sigma.evaluate(probes)
+    Ainv, det = batch_inverse(A, det_floor)
+    op = np.linalg.svd(Ainv, compute_uv=False)[:, 0]
+    # det(sigma^{-1}) = 1 / det(sigma)
+    kappa = (op ** n * det).max(initial=-np.inf)
+    Axi = xis @ np.swapaxes(A, 1, 2)
+    num = np.einsum("di,pdi->pd", xis, Axi)
+    den = np.linalg.norm(Axi, axis=2)
+    ok = den > 0
+    delta = (num[ok] / den[ok]).min(initial=np.inf)
     return {"kappa": float(kappa), "delta": float(delta), "delta_admissible": delta > -1.0}

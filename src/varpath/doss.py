@@ -19,12 +19,12 @@ from .bv_library import (
     MatrixBV,
     ScalarBV,
     SingularMatrixError,
+    batch_inverse,
     cantor_cumulative,
     cantor_cumulative_inverse,
     curl_check,
     distortion_check,
     inverse_matrix_field,
-    matrix_det,
 )
 from .gls_integral import gls_integrate_series
 from .grid_paths import SampledPath, TimeGrid, estimate_holder
@@ -171,24 +171,6 @@ def solve_scalar(sigma: ScalarBV, domain: tuple[float, float],
 # nD construction
 # ---------------------------------------------------------------------------
 
-def _batch_inverse(mats: np.ndarray, det_floor: float) -> np.ndarray:
-    """Vectorized matrix-polynomial inverse (same recursion as
-    cayley_inverse) over a batch (m, n, n)."""
-    m, n, _ = mats.shape
-    eye = np.eye(n)
-    M = np.broadcast_to(eye, mats.shape).copy()
-    for k in range(1, n):
-        AM = mats @ M
-        c = -np.einsum("mii->m", AM) / k
-        M = AM + c[:, None, None] * eye
-    c_n = -np.einsum("mii->m", mats @ M) / n
-    det = (-1.0) ** n * c_n
-    j = int(np.argmin(np.abs(det)))
-    if abs(det[j]) <= det_floor:
-        raise SingularMatrixError(float(det[j]), det_floor)
-    return -M / c_n[:, None, None]
-
-
 def _jitter_offsets(dim: int, axis: int, eps: float) -> np.ndarray:
     """Symmetric lateral stencil (first-order errors cancel across straight
     discontinuity loci): offsets applied to every coordinate except the
@@ -225,7 +207,7 @@ def _line_integral(sigma: MatrixBV, base: np.ndarray, xs: np.ndarray,
             col = np.zeros((b - a, n_q, n))
             for off in offs:
                 mats = sigma.evaluate((pts + off).reshape(-1, n))
-                hats = _batch_inverse(mats, config.det_floor)
+                hats = batch_inverse(mats, config.det_floor)[0]
                 col += hats.reshape(b - a, n_q, n, n)[:, :, :, axis]
             col /= len(offs)
             acc[a:b] += col.sum(axis=1) * (L[a:b, None] / n_q)
@@ -307,8 +289,12 @@ def solve_nd(sigma: MatrixBV, base, region,
     probes = region[:, 0] + rng.random((config.n_check_probes, n)) * (
         region[:, 1] - region[:, 0])
 
+    mats = sigma.evaluate(probes)
+    try:
+        hats, dets = batch_inverse(mats, config.det_floor)
+    except SingularMatrixError as exc:
+        raise SolveRefusal(str(exc), {"min_det": exc.det}) from exc
     if config.run_checks:
-        dets = np.array([matrix_det(A) for A in sigma.evaluate(probes)])
         if dets.min() <= config.det_floor:
             raise SolveRefusal(
                 f"determinant {dets.min():g} at or below floor {config.det_floor:g}",
@@ -345,8 +331,7 @@ def solve_nd(sigma: MatrixBV, base, region,
     def f_core(ys):
         return _newton_invert(g_core, sigma, base, region, ys, config)
 
-    hats = _batch_inverse(sigma.evaluate(probes), config.det_floor)
-    lip_f = float(np.linalg.svd(sigma.evaluate(probes), compute_uv=False)[:, 0].max())
+    lip_f = float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
     lip_g = float(np.linalg.svd(hats, compute_uv=False)[:, 0].max())
 
     maps = DossMaps(n, _vectorize(g_core, n), _vectorize(f_core, n),

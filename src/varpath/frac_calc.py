@@ -21,17 +21,12 @@ from .gridfun import GridFunction, gagliardo_pth_power
 
 @dataclass(frozen=True)
 class FracParams:
-    """Numerical scheme parameters for the fractional operators."""
+    """Numerical scheme parameters for the fractional norms: the smallest
+    lag, in grid steps, of the off-diagonal double sums."""
 
-    theta: float = 0.5
-    scheme: str = "product"
     diagonal_floor: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must lie in (0,1)")
-        if self.scheme not in ("product", "trapezoid"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.diagonal_floor < 1:
             raise ValueError("diagonal_floor must be >= 1")
 
@@ -95,7 +90,7 @@ def marchaud_difference_integral(values: np.ndarray, dt: float, theta: float) ->
     return out
 
 
-def wm_derivative_left(f: GridFunction, theta: float, params: FracParams | None = None) -> GridFunction:
+def wm_derivative_left(f: GridFunction, theta: float) -> GridFunction:
     """Left Weyl-Marchaud derivative of order theta:
     (1/Gamma(1-theta)) * ( f(t)/t^theta + theta * int_0^t (f(t)-f(s)) (t-s)^(-theta-1) ds ).
 
@@ -114,8 +109,7 @@ def wm_derivative_left(f: GridFunction, theta: float, params: FracParams | None 
     return GridFunction(f.grid, out, meta=meta)
 
 
-def wm_derivative_right_adjusted(g: GridFunction, theta: float,
-                                 params: FracParams | None = None) -> GridFunction:
+def wm_derivative_right_adjusted(g: GridFunction, theta: float) -> GridFunction:
     """Right Weyl-Marchaud derivative of order 1-theta applied to
     g - g(T), with the overall real sign chosen so that
 

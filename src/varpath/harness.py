@@ -87,13 +87,34 @@ def _need(config: dict, key: str, kind=None, low=None, high=None):
     if kind is not None:
         try:
             val = kind(val)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {val!r}")
+    if isinstance(val, float) and not np.isfinite(val):
+        raise ConfigError(f"config field {key!r} must be finite, got {val}")
     if low is not None and val < low:
         raise ConfigError(f"config field {key!r} must be >= {low}, got {val}")
     if high is not None and val > high:
         raise ConfigError(f"config field {key!r} must be <= {high}, got {val}")
     return val
+
+
+def _theta(config: dict) -> float:
+    """The pairing order theta (default 0.3), which must lie in (0, 1)."""
+    theta = _need({"theta": 0.3, **config}, "theta", float)
+    if not 0.0 < theta < 1.0:
+        raise ConfigError(f"config field 'theta' must lie in (0, 1), got {theta}")
+    return theta
+
+
+def _vector(config: dict, key: str, default: list) -> np.ndarray:
+    """A point or direction field of finite numbers."""
+    try:
+        vec = np.asarray(config.get(key, default), dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {key!r} must be a list of numbers")
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"config field {key!r} must be finite, got {vec.tolist()}")
+    return vec
 
 
 def _write_json(out_dir: str, name: str, payload: dict, manifest: Manifest) -> None:
@@ -156,12 +177,10 @@ def path_from_config(config: dict, seed: int):
     if kind == "power":
         return make_power_path(_need(config, "d", float, low=0.01), grid)
     if kind == "linear":
-        vel = np.asarray(config.get("velocity", [1.0] * dim), dtype=float)
-        start = np.asarray(config.get("start", [0.0] * dim), dtype=float)
-        return make_linear_path(vel, start, grid)
+        return make_linear_path(_vector(config, "velocity", [1.0] * dim),
+                                _vector(config, "start", [0.0] * dim), grid)
     if kind == "constant":
-        return make_constant_path(np.asarray(config.get("point", [0.0] * dim),
-                                             dtype=float), grid)
+        return make_constant_path(_vector(config, "point", [0.0] * dim), grid)
     raise ConfigError(f"unknown path kind {kind!r}")
 
 
@@ -204,7 +223,7 @@ def run_variability(config: dict, seed: int, out_dir: str) -> int:
 def run_integrate(config: dict, seed: int, out_dir: str) -> int:
     path = path_from_config(config, seed)
     phi = coefficient_from_config(config)
-    theta = float(config.get("theta", 0.3))
+    theta = _theta(config)
     if isinstance(phi, MatrixBV):
         raise ConfigError("integrate needs a scalar coefficient")
     from .variability import compose
@@ -229,7 +248,7 @@ def run_solve(config: dict, seed: int, out_dir: str) -> int:
     maps = closed_form_maps(config["coefficient"], **maps_params_from_config(config))
     driver = path_from_config(config, seed)
     x0 = np.asarray(config.get("x0", [1.0, 1.0]), dtype=float)
-    theta = float(config.get("theta", 0.3))
+    theta = _theta(config)
     manifest = Manifest("solve", config, seed)
     X = build_solution(maps, driver, x0)
     csv_name = "solution.csv"

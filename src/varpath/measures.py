@@ -148,11 +148,11 @@ def fractional_maximal(mu: DiscreteMeasure, gamma: float, R: float, x: np.ndarra
     x = np.asarray(x, dtype=float).reshape(mu.dim)
     if mu.n_atoms == 0:
         return 0.0
-    d = np.sort(np.linalg.norm(mu.locations - x, axis=1))
-    r_min = max(d[d > 0].min() if np.any(d > 0) else R / 2 ** n_radii, R / 2 ** n_radii)
+    dists = np.linalg.norm(mu.locations - x, axis=1)
+    r_min = max(dists[dists > 0].min() if np.any(dists > 0) else R / 2 ** n_radii,
+                R / 2 ** n_radii)
     radii = np.geomspace(min(r_min, R), R, n_radii)
     best = 0.0
-    dists = np.linalg.norm(mu.locations - x, axis=1)
     for r in radii:
         m = mu.weights[dists <= r].sum()
         best = max(best, r ** (gamma - mu.dim) * m)
@@ -221,8 +221,8 @@ def local_time_density(mu: DiscreteMeasure, cell: float) -> HistogramDensity:
     return HistogramDensity(edges=list(edges), density=hist / cell ** mu.dim, cell=cell)
 
 
-def _riesz_convolution_raw(gamma1: float, gamma2: float, y: float, half_width: float,
-                           pts: int) -> float:
+def _riesz_convolution_raw(gamma1: float, gamma2: float, y: float,
+                           half_width: float) -> float:
     """1D quadrature of int |x|^(g1-1) |x-y|^(g2-1) dx over [-R, R+y],
     splitting at the two singular points."""
     def integrand(x):
@@ -234,8 +234,7 @@ def _riesz_convolution_raw(gamma1: float, gamma2: float, y: float, half_width: f
 
 
 def convolution_identity_check(gamma1: float, gamma2: float, y: float,
-                               y_ref: float = 1.0, half_width: float = 200.0,
-                               quad_points: int = 0) -> float:
+                               y_ref: float = 1.0, half_width: float = 200.0) -> float:
     """Scaling check for the composition of two Riesz kernels in one
     dimension: the convolution evaluated at y and at a reference point must
     scale like |y|^(gamma1+gamma2-1).  The unknown constant ratio is
@@ -246,8 +245,8 @@ def convolution_identity_check(gamma1: float, gamma2: float, y: float,
         raise ValueError("gamma1 + gamma2 must be < n for a convergent convolution")
     if y == 0:
         raise ValueError("y must be nonzero")
-    ref = _riesz_convolution_raw(gamma1, gamma2, y_ref, half_width, quad_points)
+    ref = _riesz_convolution_raw(gamma1, gamma2, y_ref, half_width)
     cal = ref / y_ref ** (gamma1 + gamma2 - n)  # calibrated constant ratio
-    val = _riesz_convolution_raw(gamma1, gamma2, y, half_width, quad_points)
+    val = _riesz_convolution_raw(gamma1, gamma2, y, half_width)
     predicted = cal * abs(y) ** (gamma1 + gamma2 - n)
     return abs(val - predicted) / abs(predicted)

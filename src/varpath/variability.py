@@ -148,33 +148,13 @@ def classify(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
     norms = tuple(norms)
     box = inflated_box(path, params.margin)
     neighborhood = {"box": box.tolist(), "margin": params.margin}
-
-    if max(norms) <= 0.0:
-        return VariabilityReport(params.s, params.p, levels, caps, norms,
-                                 0.0, 1.0, 0.0, "finite", neighborhood)
-    x = np.log(1.0 / np.asarray(caps))
-    y = np.log(np.maximum(norms, 1e-300))
-    slope, intercept = np.polyfit(x, y, 1)
-    fit = slope * x + intercept
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    max_resid = float(np.abs(y - fit).max())
-
-    if slope <= params.divergence_threshold:
-        verdict = "finite"
-    elif r2 >= params.r_squared_floor and max_resid <= params.residual_cap:
-        verdict = "diverging"
-    else:
-        verdict = "inconclusive"
-    return VariabilityReport(params.s, params.p, levels, caps, norms,
-                             float(slope), float(r2), max_resid, verdict, neighborhood)
+    return _fit_verdict(params, levels, caps, norms, neighborhood)
 
 
-def _fit_verdict(path: SampledPath, params: VariabilityParams, levels: tuple,
-                 caps: tuple, norms: tuple, neighborhood: dict) -> VariabilityReport:
-    """Shared tail of classify: growth-exponent fit and verdict from the
-    per-level L^p norms."""
+def _fit_verdict(params: VariabilityParams, levels: tuple, caps: tuple,
+                 norms: tuple, neighborhood: dict) -> VariabilityReport:
+    """Shared tail of classify and classify_sweep: growth-exponent fit and
+    verdict from the per-level L^p norms."""
     if max(norms) <= 0.0:
         return VariabilityReport(params.s, params.p, levels, caps, norms,
                                  0.0, 1.0, 0.0, "finite", neighborhood)
@@ -255,8 +235,8 @@ def classify_sweep(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
             divergence_threshold=params_base.divergence_threshold,
             r_squared_floor=params_base.r_squared_floor,
             residual_cap=params_base.residual_cap)
-        reports.append(_fit_verdict(path, params, levels, caps,
-                                    tuple(norms[s]), neighborhood))
+        reports.append(_fit_verdict(params, levels, caps, tuple(norms[s]),
+                                    neighborhood))
     return reports
 
 

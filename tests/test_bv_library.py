@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varpath.bv_library import (MatrixBV, ScalarBV, SingularMatrixError,
-                                cantor_coefficient, cantor_function,
+                                batch_inverse, cantor_coefficient, cantor_function,
                                 cantor_integral, cantor_level_atoms,
                                 cantor_matrix, cayley_inverse, cone_indicator,
                                 cone_matrix, constant_scalar, curl_check,
@@ -115,6 +115,29 @@ def test_inverse_matrix_field_pointwise():
         assert np.allclose(inv.evaluate(x) @ A, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [cone_matrix(1.0, 2.0), jump_line_matrix(2.0)],
+                         ids=["cone(1,2)", "jump_line(2)"])
+def test_inverse_matrix_field_matches_pointwise_loop(sigma):
+    # the batched field against one cayley_inverse per point, on a grid over
+    # the square of half-width 2 that crosses the jump loci
+    axis = np.arange(-2.0, 2.0 + 1e-9, 0.05)
+    pts = np.column_stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")])
+    inv = inverse_matrix_field(sigma)
+    loop = np.array([cayley_inverse(sigma, x) for x in pts])
+    assert np.array_equal(inv.evaluate(pts), loop)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batch_inverse_reports_the_singular_matrix(n):
+    rng = np.random.default_rng(n)
+    mats = rng.standard_normal((50, n, n)) + 3 * np.eye(n)
+    mats[17] = np.diag([1e-13] + [1.0] * (n - 1))
+    with pytest.raises(SingularMatrixError) as info:
+        batch_inverse(mats)
+    assert info.value.det == matrix_det(mats[17])
+    assert info.value.det == pytest.approx(1e-13, rel=1e-9)
+
+
 def test_lipschitz_wrap_gradient_mass():
     # f(x) = x1 has |grad f| = 1, so the gradient measure of the unit box
     # carries total mass 1
@@ -153,3 +176,30 @@ def test_distortion_check_identity_like():
     rep = distortion_check(sigma, np.array([[0.5, 0.5], [-0.5, 0.2]]))
     assert rep["delta_admissible"]
     assert rep["kappa"] >= 1.0
+
+
+def _distortion_loop(sigma, probes, n_directions=720):
+    """Per-probe reference for distortion_check (dimension 2)."""
+    ang = np.linspace(0, 2 * np.pi, n_directions, endpoint=False)
+    xis = np.column_stack([np.cos(ang), np.sin(ang)])
+    kappa, delta = -np.inf, np.inf
+    for x in probes:
+        A = sigma.evaluate(x)
+        Ainv = cayley_inverse(A)
+        op = np.linalg.svd(Ainv, compute_uv=False)[0]
+        kappa = max(kappa, op ** 2 / matrix_det(Ainv))
+        Axi = xis @ A.T
+        num = np.einsum("ij,ij->i", xis, Axi)
+        den = np.linalg.norm(Axi, axis=1)
+        delta = min(delta, float((num[den > 0] / den[den > 0]).min()))
+    return kappa, delta
+
+
+@pytest.mark.parametrize("sigma", [cantor_matrix(), jump_line_matrix(2.0)],
+                         ids=["cantor", "jump_line(2)"])
+def test_distortion_check_matches_per_probe_loop(sigma):
+    probes = np.random.default_rng(3).uniform(-2, 2, (64, 2))
+    rep = distortion_check(sigma, probes)
+    kappa, delta = _distortion_loop(sigma, probes)
+    assert rep["kappa"] == pytest.approx(kappa, rel=1e-12)
+    assert rep["delta"] == pytest.approx(delta, rel=1e-12)

@@ -104,8 +104,4 @@ def test_dyda_ratio_finite_for_smooth():
 
 def test_frac_params_validation():
     with pytest.raises(ValueError):
-        FracParams(theta=1.5)
-    with pytest.raises(ValueError):
-        FracParams(scheme="simpson")
-    with pytest.raises(ValueError):
         FracParams(diagonal_floor=0)

@@ -33,6 +33,8 @@ def test_coefficient_and_path_builders_validate():
         path_from_config({"path": "fbm", "N": 64}, seed=0)  # missing hurst
     with pytest.raises(ConfigError):
         path_from_config({"path": "warp", "N": 64}, seed=0)
+    with pytest.raises(ConfigError):
+        path_from_config({"path": "fbm", "N": 64, "hurst": float("nan")}, seed=0)
 
 
 def test_run_path_outputs_and_manifest(tmp_path):
