@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Divergence phase diagram for fBm against the Cantor-type coefficient.
 
-Sweeps (hurst, s) over a grid, runs the variability classifier on a few
-seeds per cell, and records the fraction of diverging verdicts.  The
-finite/diverging boundary should track s = 1/hurst - 1 in the plane n = 2.
-Writes phase_diagram.csv: hurst, s, n_seeds, frac_diverging, predicted_side.
+Sweeps (hurst, s) over a grid: for each hurst and seed, one classify_sweep
+call classifies the path at every s, and each cell records the fraction of
+diverging verdicts.  The column predicted_diverging is the side of the
+sufficient condition s < 1/hurst - 1 (n = 2).  The measured boundary does
+not track that curve: it stays near s = 0.7 for every hurst, because the
+statistic diverges once s exceeds the dimension of the coefficient's
+gradient measure (log 2/log 3 = 0.63), as acceptance criterion 6 records.
+Writes phase_diagram.csv: hurst, s, n_seeds, frac_diverging,
+predicted_diverging.
 """
 
 import argparse
@@ -14,7 +19,7 @@ import numpy as np
 
 from varpath.bv_library import cantor_coefficient
 from varpath.grid_paths import TimeGrid, make_fbm
-from varpath.variability import VariabilityParams, classify
+from varpath.variability import VariabilityParams, classify_sweep
 
 
 def main():
@@ -30,22 +35,22 @@ def main():
     svals = [float(x) for x in args.s.split(",")]
     phi = cantor_coefficient(2)
     grid = TimeGrid(1.0, args.N)
+    params = VariabilityParams(s=svals[0], p=1.0)  # classify_sweep sets s
 
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["hurst", "s", "n_seeds", "frac_diverging", "predicted_diverging"])
         for H in hursts:
-            for s in svals:
-                params = VariabilityParams(s=s, p=1.0)
-                n_div = 0
-                for seed in range(args.seeds):
-                    path = make_fbm(H, 2, grid, seed=seed)
-                    if classify(path, phi, params).verdict == "diverging":
-                        n_div += 1
+            n_div = np.zeros(len(svals), dtype=int)
+            for seed in range(args.seeds):
+                path = make_fbm(H, 2, grid, seed=seed)
+                reports = classify_sweep(path, phi, svals, params)
+                n_div += [r.verdict == "diverging" for r in reports]
+            for s, n in zip(svals, n_div):
                 # finiteness holds when n-1+s < 1/H, i.e. s < 1/H - 1
                 predicted = int(not (s < 1.0 / H - 1.0))
-                w.writerow([H, s, args.seeds, n_div / args.seeds, predicted])
-                print(f"H={H:.2f} s={s:.2f}  diverging {n_div}/{args.seeds}  "
+                w.writerow([H, s, args.seeds, n / args.seeds, predicted])
+                print(f"H={H:.2f} s={s:.2f}  diverging {n}/{args.seeds}  "
                       f"predicted {'diverging' if predicted else 'finite'}")
     print(f"wrote {args.out}")
 

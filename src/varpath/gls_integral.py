@@ -25,11 +25,14 @@ class NormOverflowError(RuntimeError):
 
 
 def _restrict(f: GridFunction, t_end: float) -> tuple[np.ndarray, int]:
-    """Values of 1_[0,t_end] f on the grid; t_end snapped to the nearest
-    grid time."""
-    idx = int(round(t_end / f.grid.dt))
+    """Values of 1_[0,t_end] f on the grid and the index of t_end, which
+    must be a grid time (up to rounding of the grid times themselves)."""
+    pos = t_end / f.grid.dt
+    idx = int(round(pos))
     if not (0 <= idx <= f.grid.N):
         raise ValueError(f"t_end={t_end} outside the grid horizon")
+    if abs(pos - idx) > 1e-9 * max(idx, 1):
+        raise ValueError(f"t_end={t_end} is not a grid time; the nearest is {idx * f.grid.dt}")
     vals = f.values.copy()
     vals[idx + 1:] = 0.0
     return vals, idx

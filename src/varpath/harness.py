@@ -80,17 +80,21 @@ class Manifest:
         return path
 
 
-def _need(config: dict, key: str, kind=None, low=None, high=None):
-    if key not in config:
+def _need(config: dict, key: str, kind=None, low=None, high=None, default=None,
+          finite=True):
+    """Field ``key`` (or a given ``default``) as ``kind`` within [low, high];
+    a float must be finite, or with ``finite=False`` not NaN."""
+    if key not in config and default is None:
         raise ConfigError(f"missing config field {key!r}")
-    val = config[key]
+    val = config.get(key, default)
     if kind is not None:
         try:
             val = kind(val)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {val!r}")
-    if isinstance(val, float) and not np.isfinite(val):
-        raise ConfigError(f"config field {key!r} must be finite, got {val}")
+    if isinstance(val, float) and (np.isnan(val) or (finite and np.isinf(val))):
+        raise ConfigError(f"config field {key!r} must be {'finite' if finite else 'a number'}, "
+                          f"got {val}")
     if low is not None and val < low:
         raise ConfigError(f"config field {key!r} must be >= {low}, got {val}")
     if high is not None and val > high:
@@ -98,12 +102,20 @@ def _need(config: dict, key: str, kind=None, low=None, high=None):
     return val
 
 
-def _theta(config: dict) -> float:
-    """The pairing order theta (default 0.3), which must lie in (0, 1)."""
-    theta = _need({"theta": 0.3, **config}, "theta", float)
-    if not 0.0 < theta < 1.0:
-        raise ConfigError(f"config field 'theta' must lie in (0, 1), got {theta}")
-    return theta
+def _unit_open(config: dict, key: str, default=None) -> float:
+    """A float field that must lie in the open interval (0, 1)."""
+    val = _need(config, key, float, default=default)
+    if not 0.0 < val < 1.0:
+        raise ConfigError(f"config field {key!r} must lie in (0, 1), got {val}")
+    return val
+
+
+def _levels(config: dict) -> tuple:
+    """At least two resolution levels, integers >= 1 (default 5, 7, 9)."""
+    levels = config.get("levels", (5, 7, 9))
+    if not isinstance(levels, (list, tuple)) or len(levels) < 2:
+        raise ConfigError(f"config field 'levels' must list at least 2 levels, got {levels!r}")
+    return tuple(_need({"levels": L}, "levels", int, low=1) for L in levels)
 
 
 def _vector(config: dict, key: str, default: list) -> np.ndarray:
@@ -142,35 +154,42 @@ def _jsonable(obj):
 def coefficient_from_config(config: dict):
     """Build a ScalarBV/MatrixBV from {'coefficient': name, ...params}."""
     name = _need(config, "coefficient", str)
-    if name == "constant":
-        return constant_scalar(float(config.get("value", 1.0)),
-                              int(config.get("dim", 2)))
-    if name == "cantor":
-        return cantor_coefficient(int(config.get("dim", 2)))
-    if name == "jump_line":
-        return jump_line_matrix(float(config.get("c", 2.0)))
-    if name == "cone":
-        return cone_matrix(float(config.get("a", 1.0)), float(config.get("b", 2.0)))
-    if name == "cantor_shear":
-        return cantor_matrix()
-    raise ConfigError(f"unknown coefficient {name!r}")
+    build = {"constant": constant_scalar, "cantor": cantor_coefficient,
+             "jump_line": jump_line_matrix, "cone": cone_matrix,
+             "cantor_shear": cantor_matrix}.get(name)
+    if build is None:
+        raise ConfigError(f"unknown coefficient {name!r}")
+    params = maps_params_from_config(config)
+    try:
+        return build(**params)
+    except ValueError as exc:  # a parameter outside the family's range
+        raise ConfigError(f"coefficient {name!r}: {exc}") from exc
 
 
 def maps_params_from_config(config: dict) -> dict:
+    """Parameters of the named coefficient family (and of its closed-form maps)."""
     name = config["coefficient"]
+    if name == "constant":
+        return {"value": _need(config, "value", float, default=1.0),
+                "dim": _need(config, "dim", int, default=2, low=1)}
+    if name == "cantor":
+        return {"dim": _need(config, "dim", int, default=2, low=1)}
     if name == "jump_line":
-        return {"c": float(config.get("c", 2.0))}
+        return {"c": _need(config, "c", float, default=2.0)}
     if name == "cone":
-        return {"a": float(config.get("a", 1.0)), "b": float(config.get("b", 2.0))}
+        return {"a": _need(config, "a", float, default=1.0),
+                "b": _need(config, "b", float, default=2.0)}
     return {}
 
 
 def path_from_config(config: dict, seed: int):
     """Build a SampledPath from {'path': kind, ...params}."""
     kind = _need(config, "path", str)
-    grid = TimeGrid(float(config.get("horizon", 1.0)),
-                    _need(config, "N", int, low=2))
-    dim = int(config.get("dim", 2))
+    horizon = _need(config, "horizon", float, default=1.0)
+    if not horizon > 0:
+        raise ConfigError(f"config field 'horizon' must be positive, got {horizon}")
+    grid = TimeGrid(horizon, _need(config, "N", int, low=2))
+    dim = _need(config, "dim", int, default=2, low=1)
     if kind == "fbm":
         return make_fbm(_need(config, "hurst", float, low=0.01, high=0.99),
                         dim, grid, seed=seed)
@@ -209,9 +228,9 @@ def run_variability(config: dict, seed: int, out_dir: str) -> int:
     path = path_from_config(config, seed)
     phi = coefficient_from_config(config)
     params = VariabilityParams(
-        s=_need(config, "s", float, low=0.0),
-        p=float(config.get("p", 1.0)),
-        levels=tuple(config.get("levels", (5, 7, 9))),
+        s=_unit_open(config, "s"),
+        p=_need(config, "p", float, default=1.0, low=1.0, finite=False),
+        levels=_levels(config),
     )
     manifest = Manifest("variability", config, seed)
     report = classify(path, phi, params)
@@ -223,7 +242,7 @@ def run_variability(config: dict, seed: int, out_dir: str) -> int:
 def run_integrate(config: dict, seed: int, out_dir: str) -> int:
     path = path_from_config(config, seed)
     phi = coefficient_from_config(config)
-    theta = _theta(config)
+    theta = _unit_open(config, "theta", default=0.3)
     if isinstance(phi, MatrixBV):
         raise ConfigError("integrate needs a scalar coefficient")
     from .variability import compose
@@ -247,16 +266,18 @@ def run_solve(config: dict, seed: int, out_dir: str) -> int:
         raise ConfigError("solve needs a matrix coefficient")
     maps = closed_form_maps(config["coefficient"], **maps_params_from_config(config))
     driver = path_from_config(config, seed)
-    x0 = np.asarray(config.get("x0", [1.0, 1.0]), dtype=float)
-    theta = _theta(config)
+    x0 = _vector(config, "x0", [1.0, 1.0])
+    if x0.shape != (sigma.dim,):
+        raise ConfigError(f"config field 'x0' must have {sigma.dim} entries, got {x0.tolist()}")
+    theta = _unit_open(config, "theta", default=0.3)
     manifest = Manifest("solve", config, seed)
     X = build_solution(maps, driver, x0)
     csv_name = "solution.csv"
     X.to_csv(os.path.join(out_dir, csv_name))
     manifest.outputs.append(csv_name)
     rep = residual(X, sigma, driver, x0, theta,
-                   s=config.get("s"),
-                   n_checkpoints=int(config.get("n_checkpoints", 32)))
+                   s=None if config.get("s") is None else _unit_open(config, "s"),
+                   n_checkpoints=_need(config, "n_checkpoints", int, default=32, low=2))
     uniq = uniqueness_check(X, maps, driver, x0)
     _write_json(out_dir, "solve_report.json", {
         "residual": rep.to_dict(), "uniqueness_sup": uniq,

@@ -21,6 +21,10 @@ from .grid_paths import SampledPath
 #: sentinel for an exactly-singular uncapped kernel evaluation
 INF_SENTINEL = np.inf
 
+#: query-atom pairs per distance block of riesz_potential_many: 2 MiB of
+#: doubles, so a block and its kernel values stay in cache
+KERNEL_BLOCK_PAIRS = 2 ** 18
+
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -111,22 +115,38 @@ def riesz_potential(mu: DiscreteMeasure, policy: KernelPolicy, x: np.ndarray) ->
     return float(np.dot(mu.weights, k))
 
 
-def riesz_potential_many(mu: DiscreteMeasure, policy: KernelPolicy, xs: np.ndarray,
-                         pair_budget: int = 8_000_000) -> np.ndarray:
-    """Vectorized riesz_potential over rows of xs (m, n); the chunk size is
-    chosen so that each pairwise-distance block stays within pair_budget
-    entries."""
-    policy.validate(mu.dim)
+def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndarray:
+    """Vectorized riesz_potential over rows of xs (m, n).
+
+    ``policy`` is one KernelPolicy, giving shape (m,), or a sequence of
+    policies that share one cap radius, giving (k, m): every order is then
+    evaluated on the same block of pairwise distances.  One order raises
+    the block to its power; several take the log of the block once and one
+    exp per order.
+    """
+    policies = [policy] if isinstance(policy, KernelPolicy) else list(policy)
+    for pol in policies:
+        pol.validate(mu.dim)
+    h = policies[0].cap_radius
+    if any(pol.cap_radius != h for pol in policies):
+        raise ValueError("policies must share one cap radius")
     xs = np.asarray(xs, dtype=float).reshape(-1, mu.dim)
-    if mu.n_atoms == 0:
-        return np.zeros(len(xs))
-    chunk = max(1, pair_budget // mu.n_atoms)
-    out = np.empty(len(xs))
-    for lo in range(0, len(xs), chunk):
-        d = cdist(xs[lo:lo + chunk], mu.locations)
-        k = _capped_kernel(d, policy.gamma, mu.dim, policy.cap_radius)
-        out[lo:lo + chunk] = k @ mu.weights
-    return out
+    out = np.zeros((len(policies), len(xs)))
+    if mu.n_atoms:
+        expo = [pol.gamma - mu.dim for pol in policies]
+        chunk = max(1, KERNEL_BLOCK_PAIRS // mu.n_atoms)
+        with np.errstate(divide="ignore"):  # h = 0 on an atom: the +inf sentinel
+            for lo in range(0, len(xs), chunk):
+                d = cdist(xs[lo:lo + chunk], mu.locations)
+                np.maximum(d, h, out=d)
+                if len(expo) == 1:
+                    out[0, lo:lo + chunk] = np.power(d, expo[0], out=d) @ mu.weights
+                    continue
+                logd = np.log(d, out=d)
+                k = np.empty_like(logd)
+                for j, e in enumerate(expo):
+                    out[j, lo:lo + chunk] = np.exp(np.multiply(logd, e, out=k), out=k) @ mu.weights
+    return out[0] if isinstance(policy, KernelPolicy) else out
 
 
 def mutual_energy(mu: DiscreteMeasure, nu: DiscreteMeasure, policy: KernelPolicy) -> float:

@@ -12,6 +12,7 @@ declares finite / diverging / inconclusive.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -20,8 +21,7 @@ import numpy as np
 from .bv_library import MatrixBV, ScalarBV
 from .grid_paths import SampledPath, estimate_holder
 from .gridfun import GridFunction, gagliardo_pth_power
-from .measures import DiscreteMeasure, KernelPolicy, fractional_maximal, occupation_measure, \
-    riesz_potential_many
+from .measures import KernelPolicy, fractional_maximal, occupation_measure, riesz_potential_many
 
 # growth exponent above which (with a good fit) the L^p norms are declared
 # divergent; calibrated on the library's known-finite and known-infinite
@@ -55,7 +55,7 @@ class VariabilityParams:
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ValueError("s must lie in (0,1)")
-        if self.p < 1:
+        if not self.p >= 1:
             raise ValueError("p must be >= 1 (np.inf allowed)")
         if len(self.levels) < 2:
             raise ValueError("need at least 2 levels")
@@ -104,30 +104,31 @@ def _scalar_entries(phi: Union[ScalarBV, MatrixBV]):
     return [phi]
 
 
-def _potential_along_path(path: SampledPath, entry: ScalarBV, gamma: float,
-                          box: np.ndarray, level: int) -> np.ndarray:
-    mu = entry.gradient_measure(box, level)
-    if mu.n_atoms == 0:
-        return np.zeros(path.grid.N + 1)
-    policy = KernelPolicy(gamma=gamma, cap_radius=entry.scale(level))
+def _level_statistics(path: SampledPath, phi: Union[ScalarBV, MatrixBV], s_values,
+                      box: np.ndarray, level: int) -> np.ndarray:
+    """The statistic V(t) at one level for every s, shape (len(s_values), N+1).
+
+    One riesz_potential_many call per coefficient entry evaluates all the
+    orders 1 - s on the unique path points; for matrix coefficients the
+    entrywise statistics are maximized pointwise."""
     unique, inverse = np.unique(path.values, axis=0, return_inverse=True)
-    pots = riesz_potential_many(mu, policy, unique)
-    return pots[inverse.ravel()]
+    stats = np.zeros((len(s_values), len(unique)))
+    for entry in _scalar_entries(phi):
+        if entry.dim != path.dim:
+            raise ValueError("path and coefficient dimensions differ")
+        mu = entry.gradient_measure(box, level)
+        policies = [KernelPolicy(gamma=1.0 - s, cap_radius=entry.scale(level))
+                    for s in s_values]
+        np.maximum(stats, riesz_potential_many(mu, policies, unique), out=stats)
+    return stats[:, inverse.ravel()]
 
 
 def variability_statistic(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
                           params: VariabilityParams, level: int) -> GridFunction:
     """The capped-potential statistic V(t) at one resolution level; for
     matrix coefficients, the entrywise statistics are maximized pointwise."""
-    gamma = 1.0 - params.s
     box = inflated_box(path, params.margin)
-    vals = np.zeros(path.grid.N + 1)
-    for entry in _scalar_entries(phi):
-        if entry.dim != path.dim:
-            raise ValueError("path and coefficient dimensions differ")
-        v = _potential_along_path(path, entry, gamma, box, level)
-        vals = np.maximum(vals, v)
-    return GridFunction(path.grid, vals)
+    return GridFunction(path.grid, _level_statistics(path, phi, [params.s], box, level)[0])
 
 
 def classify(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
@@ -138,23 +139,12 @@ def classify(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
     The growth exponent is the fitted slope of log norm against log(1/h);
     'diverging' additionally requires a clean fit (R^2 above the floor and
     log residuals below the cap)."""
-    levels = tuple(params.levels)
-    entries = _scalar_entries(phi)
-    caps = tuple(entries[0].scale(L) for L in levels)
-    norms = []
-    for L in levels:
-        stat = variability_statistic(path, phi, params, L)
-        norms.append(stat.lp_norm(params.p))
-    norms = tuple(norms)
-    box = inflated_box(path, params.margin)
-    neighborhood = {"box": box.tolist(), "margin": params.margin}
-    return _fit_verdict(params, levels, caps, norms, neighborhood)
+    return classify_sweep(path, phi, [params.s], params)[0]
 
 
 def _fit_verdict(params: VariabilityParams, levels: tuple, caps: tuple,
                  norms: tuple, neighborhood: dict) -> VariabilityReport:
-    """Shared tail of classify and classify_sweep: growth-exponent fit and
-    verdict from the per-level L^p norms."""
+    """Growth-exponent fit and verdict from the per-level L^p norms at one s."""
     if max(norms) <= 0.0:
         return VariabilityReport(params.s, params.p, levels, caps, norms,
                                  0.0, 1.0, 0.0, "finite", neighborhood)
@@ -177,67 +167,30 @@ def _fit_verdict(params: VariabilityParams, levels: tuple, caps: tuple,
 
 
 def classify_sweep(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
-                   s_values, params_base: VariabilityParams,
-                   n_bins: int = 512) -> list:
-    """classify over a grid of s values, sharing the expensive work.
+                   s_values, params_base: VariabilityParams) -> list:
+    """classify at every s in s_values, sharing one set of measures and
+    distances.
 
-    The gradient-measure atoms and the path-to-atom distances do not depend
-    on s, so they are computed once per level and reused; the kernel is
-    applied through a log-spaced distance histogram (n_bins bins between
-    the cap radius and the largest distance), which agrees with the exact
-    capped kernel to within the bin width in log-distance.  Intended for
-    phase-diagram sweeps where classify would be run hundreds of times on
-    the same path.  Returns one VariabilityReport per s, in order.
+    The gradient measures and the path-to-atom distances do not depend on
+    s: each level builds its measures once, and riesz_potential_many
+    evaluates the exact capped kernel for every order 1 - s on the same
+    distance blocks.  classify is this function with one s; with several,
+    the kernel is computed as exp((1 - s - n) log d) instead of a power, so
+    the norms agree with classify's to rounding.  Every field of
+    params_base except s applies to all reports.  Returns one
+    VariabilityReport per s, in order.
     """
-    from scipy.spatial.distance import cdist
-
-    s_values = [float(s) for s in s_values]
+    params = [dataclasses.replace(params_base, s=float(s)) for s in s_values]
+    s_values = [p.s for p in params]
     levels = tuple(params_base.levels)
-    entries = _scalar_entries(phi)
     box = inflated_box(path, params_base.margin)
     neighborhood = {"box": box.tolist(), "margin": params_base.margin}
-    caps = tuple(entries[0].scale(L) for L in levels)
-    unique, inverse = np.unique(path.values, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    norms = {s: [] for s in s_values}
-    for L in levels:
-        stat_by_s = {s: np.zeros(path.grid.N + 1) for s in s_values}
-        for entry in entries:
-            if entry.dim != path.dim:
-                raise ValueError("path and coefficient dimensions differ")
-            mu = entry.gradient_measure(box, L)
-            if mu.n_atoms == 0:
-                continue
-            cap = entry.scale(L)
-            d = np.maximum(cdist(unique, mu.locations), max(cap, 1e-300))
-            # weighted histogram of log distances, one row per path point
-            logd = np.log(d)
-            lo, hi = logd.min(), logd.max() + 1e-12
-            edges = np.linspace(lo, hi, n_bins + 1)
-            idx = np.minimum(((logd - lo) / (hi - lo) * n_bins).astype(np.int64),
-                             n_bins - 1)
-            flat = idx + n_bins * np.arange(len(unique))[:, None]
-            binned = np.bincount(flat.ravel(),
-                                 weights=np.broadcast_to(mu.weights, d.shape).ravel(),
-                                 minlength=n_bins * len(unique)).reshape(len(unique), n_bins)
-            centers = np.exp(0.5 * (edges[:-1] + edges[1:]))
-            for s in s_values:
-                gamma = 1.0 - s
-                pots = binned @ centers ** (gamma - path.dim)
-                stat_by_s[s] = np.maximum(stat_by_s[s], pots[inverse])
-        for s in s_values:
-            stat = GridFunction(path.grid, stat_by_s[s])
-            norms[s].append(stat.lp_norm(params_base.p))
-    reports = []
-    for s in s_values:
-        params = VariabilityParams(
-            s=s, p=params_base.p, margin=params_base.margin, levels=levels,
-            divergence_threshold=params_base.divergence_threshold,
-            r_squared_floor=params_base.r_squared_floor,
-            residual_cap=params_base.residual_cap)
-        reports.append(_fit_verdict(params, levels, caps, tuple(norms[s]),
-                                    neighborhood))
-    return reports
+    caps = tuple(_scalar_entries(phi)[0].scale(L) for L in levels)
+    norms = [[GridFunction(path.grid, stat).lp_norm(params_base.p)
+              for stat in _level_statistics(path, phi, s_values, box, L)]
+             for L in levels]
+    return [_fit_verdict(p, levels, caps, tuple(by_level), neighborhood)
+            for p, by_level in zip(params, zip(*norms))]
 
 
 def require_finite(path: SampledPath, phi: Union[ScalarBV, MatrixBV],

@@ -65,6 +65,10 @@ def test_series_starts_at_zero_and_ends_at_full_value():
     series = gls_integrate_series(f, g, theta=0.4, indices=range(0, 513, 32))
     assert series.values[0] == 0.0
     assert series.values[-1] == pytest.approx(gls_integrate(f, g, 0.4), abs=1e-12)
+    # t_end must be a grid time: an off-grid value is refused, not snapped
+    assert gls_integrate(f, g, 0.4, t_end=grid.times[256]) == series.values[256]
+    with pytest.raises(ValueError, match="nearest is 0.5"):
+        gls_integrate(f, g, 0.4, t_end=0.5 + 0.3 * grid.dt)
 
 
 def test_refine_reduces_quadrature_error():

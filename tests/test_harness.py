@@ -35,6 +35,18 @@ def test_coefficient_and_path_builders_validate():
         path_from_config({"path": "warp", "N": 64}, seed=0)
     with pytest.raises(ConfigError):
         path_from_config({"path": "fbm", "N": 64, "hurst": float("nan")}, seed=0)
+    fbm = {"path": "fbm", "N": 64, "hurst": 0.7}
+    for bad in ({"horizon": float("nan")}, {"horizon": 0.0}, {"dim": 0}, {"dim": "two"}):
+        with pytest.raises(ConfigError):
+            path_from_config({**fbm, **bad}, seed=0)
+    for bad in ({"coefficient": "constant", "value": float("nan")},
+                {"coefficient": "cantor", "dim": float("inf")},
+                {"coefficient": "jump_line", "c": float("nan")},
+                {"coefficient": "jump_line", "c": 0.5},
+                {"coefficient": "cone", "a": 3.0, "b": float("inf")},
+                {"coefficient": "cone", "a": 3.0, "b": 2.0}):
+        with pytest.raises(ConfigError):
+            coefficient_from_config(bad)
 
 
 def test_run_path_outputs_and_manifest(tmp_path):
@@ -64,6 +76,10 @@ def test_run_variability_report(tmp_path):
     rep = read_json(tmp_path, "variability_report.json")
     assert rep["verdict"] in ("finite", "diverging", "inconclusive")
     assert len(rep["lp_norms"]) == 3
+    for bad in ({"p": float("nan")}, {"p": 0.5}, {"s": 1.5}, {"levels": [6]},
+                {"levels": [6, float("nan")]}):
+        with pytest.raises(ConfigError):
+            run_variability({**cfg, **bad}, seed=1, out_dir=str(tmp_path))
 
 
 def test_run_integrate_with_rate(tmp_path):
@@ -92,6 +108,10 @@ def test_run_solve_report(tmp_path):
     assert rep["uniqueness_sup"] < 1e-8
     assert rep["residual"]["sup"] < 0.1
     assert os.path.exists(tmp_path / "solution.csv")
+    for bad in ({"x0": [float("nan"), 1.0]}, {"x0": [1.0]}, {"n_checkpoints": 1},
+                {"n_checkpoints": float("nan")}, {"s": 1.5}):
+        with pytest.raises(ConfigError):
+            run_solve({**cfg, **bad}, seed=3, out_dir=str(tmp_path))
 
 
 def test_run_validate_trivial(tmp_path):
@@ -153,6 +173,12 @@ def test_cli_bad_config_exits_2(tmp_path):
                  "--out-dir", str(tmp_path)], cwd=str(tmp_path))
     assert r.returncode == 2, r.stderr
     assert "warp" in r.stderr  # the refusal names the rejected value
+    # a NaN norm exponent is a config error, not a report of NaN norms
+    r = run_cli(["variability", "--coefficient", "cantor", "--s", "0.8", "--p", "nan",
+                 "--hurst", "0.7", "--N", "64", "--out-dir", str(tmp_path)],
+                cwd=str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "'p'" in r.stderr and not (tmp_path / "variability_report.json").exists()
 
 
 def test_cli_validate(tmp_path):

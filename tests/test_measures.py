@@ -61,11 +61,27 @@ def test_potential_monotone_in_cap_radius(h, factor):
 
 def test_potential_many_matches_scalar(rng):
     mu = unit_atoms(rng, 30)
-    pol = KernelPolicy(gamma=0.6, cap_radius=0.02)
     xs = rng.uniform(-1, 1, (17, 2))
+    pol = KernelPolicy(gamma=0.6, cap_radius=0.02)
     many = riesz_potential_many(mu, pol, xs)
-    each = [riesz_potential(mu, pol, x) for x in xs]
-    assert np.allclose(many, each)
+    assert many.shape == (17,)
+    assert np.allclose(many, [riesz_potential(mu, pol, x) for x in xs], rtol=1e-12, atol=0)
+    # several orders on one cap radius: one row per policy, each the
+    # scalar loop; h = 0 with a query point on an atom gives the sentinel
+    xs[3] = mu.locations[5]
+    for h in (0.02, 0.0):
+        pols = [KernelPolicy(gamma=g, cap_radius=h) for g in (0.2, 0.6, 1.3)]
+        rows = riesz_potential_many(mu, pols, xs)
+        assert rows.shape == (3, 17)
+        for pol_j, row in zip(pols, rows):
+            assert np.allclose(row, [riesz_potential(mu, pol_j, x) for x in xs],
+                               rtol=1e-12, atol=0)
+    assert np.isinf(rows[:, 3]).all() and np.isfinite(np.delete(rows, 3, axis=1)).all()
+    empty = DiscreteMeasure(2, np.zeros((0, 2)), np.zeros(0))
+    assert np.array_equal(riesz_potential_many(empty, pols, xs), np.zeros((3, 17)))
+    assert np.array_equal(riesz_potential_many(empty, pol, xs), np.zeros(17))
+    with pytest.raises(ValueError):
+        riesz_potential_many(mu, [pol, KernelPolicy(gamma=0.6, cap_radius=0.05)], xs)
 
 
 def test_fractional_maximal_single_atom():

@@ -5,6 +5,8 @@ from varpath.bv_library import (cantor_coefficient, constant_scalar,
                                 halfplane_x1_positive, indicator_disk,
                                 lipschitz_wrap)
 from varpath.grid_paths import TimeGrid, make_constant_path, make_fbm, make_linear_path
+from varpath.gridfun import GridFunction
+from varpath.measures import KernelPolicy, riesz_potential
 from varpath.variability import (VariabilityParams, VariabilityRefusal,
                                  classify, classify_crosscheck_energy,
                                  classify_sweep, compose,
@@ -31,6 +33,8 @@ def test_params_validation():
         VariabilityParams(s=1.5)
     with pytest.raises(ValueError):
         VariabilityParams(s=0.5, p=0.5)
+    with pytest.raises(ValueError):
+        VariabilityParams(s=0.5, p=np.nan)
     with pytest.raises(ValueError):
         VariabilityParams(s=0.5, levels=(8,))
 
@@ -59,10 +63,21 @@ def test_classify_sweep_matches_classify():
     path = make_fbm(0.7, 2, GRID, seed=2)
     phi = halfplane_x1_positive()
     s_values = (0.3, 0.5, 0.8)
+    box = inflated_box(path, PARAMS_LO.margin)
+    caps = np.array([phi.scale(L) for L in PARAMS_LO.levels])
+    measures = [phi.gradient_measure(box, L) for L in PARAMS_LO.levels]
     reports = classify_sweep(path, phi, s_values, PARAMS_LO)
     for s, rep in zip(s_values, reports):
         exact = classify(path, phi, VariabilityParams(s=s, p=PARAMS_LO.p,
                                                       levels=PARAMS_LO.levels))
+        # reference: the scalar potential at every path point, level by level
+        ref = np.array([GridFunction(GRID, np.array([
+            riesz_potential(mu, KernelPolicy(1.0 - s, h), x) for x in path.values]))
+            .lp_norm(PARAMS_LO.p) for mu, h in zip(measures, caps)])
+        slope = np.polyfit(np.log(1.0 / caps), np.log(ref), 1)[0]
+        for r in (rep, exact):
+            assert np.allclose(r.lp_norms, ref, rtol=1e-12, atol=0)
+            assert r.growth_exponent == pytest.approx(slope, rel=1e-12)
         assert rep.verdict == exact.verdict
         assert rep.s == s
 
