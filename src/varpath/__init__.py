@@ -31,7 +31,7 @@ from .bv_library import (ScalarBV, MatrixBV, constant_scalar, cantor_coefficient
                          distortion_check)
 from .variability import (VariabilityParams, VariabilityReport,
                           VariabilityRefusal, classify, require_finite,
-                          compose, gagliardo_seminorm, fbm_energy_bound)
+                          compose, fbm_energy_bound)
 from .frac_calc import (FracParams, rl_integral_left, rl_integral_right,
                         wm_derivative_left, wm_derivative_right_adjusted,
                         norm_W0, norm_WT)

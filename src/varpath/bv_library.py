@@ -14,9 +14,10 @@ and structural checks (curl residual of the inverse field,
 distortion/angular constants).
 
 Every matrix inverse and determinant in the package comes from one batched
-Faddeev-LeVerrier (Cayley-Hamilton) recursion, ``batch_inverse``, which
-inverts a stack (m, n, n) in one pass and applies the determinant floor;
-``cayley_inverse``, ``matrix_det`` and ``inverse_matrix_field`` wrap it.
+routine, ``batch_inverse``, which inverts a stack (m, n, n) in one pass (the
+adjugate in closed form for n = 2, the Faddeev-LeVerrier recursion
+otherwise) and applies the determinant floor; ``cayley_inverse``,
+``matrix_det`` and ``inverse_matrix_field`` wrap it.
 """
 
 from __future__ import annotations
@@ -316,16 +317,6 @@ def indicator_disk(center, radius: float) -> ScalarBV:
                     name="indicator_disk")
 
 
-def indicator_domain(shape: str, **kwargs) -> ScalarBV:
-    """Indicator coefficient of a simple domain: shape = 'disk' (center,
-    radius) in the plane or 'interval' (a, b) on the line."""
-    if shape == "disk":
-        return indicator_disk(kwargs.get("center", (0.0, 0.0)), kwargs.get("radius", 1.0))
-    if shape == "interval":
-        return indicator_interval(kwargs["a"], kwargs["b"])
-    raise ValueError(f"unknown shape {shape!r}")
-
-
 def _segment_measure(p0: np.ndarray, p1: np.ndarray, box: np.ndarray, level: int,
                      density: float, dim: int) -> DiscreteMeasure:
     """Arclength measure with the given density on the segment [p0, p1]
@@ -622,8 +613,10 @@ class SingularMatrixError(ValueError):
 
 def batch_inverse(mats: np.ndarray,
                   det_floor: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses and determinants of a batch of matrices (m, n, n) by the
-    Faddeev-LeVerrier recursion, the matrix-polynomial (Cayley-Hamilton)
+    """Inverses and determinants of a batch of matrices (m, n, n).
+
+    For n = 2 the adjugate over the determinant, in closed form.  Otherwise
+    the Faddeev-LeVerrier recursion, the matrix-polynomial (Cayley-Hamilton)
     route: M = A^{n-1} + c_1 A^{n-2} + ... + c_{n-1} I, the c_k being the
     trace coefficients of the characteristic polynomial, gives
     A^{-1} = -M / c_n and det A = (-1)^n c_n.
@@ -633,17 +626,27 @@ def batch_inverse(mats: np.ndarray,
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[-1]
-    eye = np.eye(n)
-    M = np.broadcast_to(eye, mats.shape).copy()
-    for k in range(1, n):
-        AM = mats @ M
-        c = -np.einsum("mii->m", AM) / k
-        M = AM + c[:, None, None] * eye
-    c_n = -np.einsum("mii->m", mats @ M) / n
-    det = (-1.0) ** n * c_n
+    if n == 2:
+        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    else:
+        eye = np.eye(n)
+        M = np.broadcast_to(eye, mats.shape).copy()
+        for k in range(1, n):
+            AM = mats @ M
+            c = -np.einsum("mii->m", AM) / k
+            M = AM + c[:, None, None] * eye
+        c_n = -np.einsum("mii->m", mats @ M) / n
+        det = (-1.0) ** n * c_n
     if np.any(np.abs(det) <= det_floor):
         j = int(np.argmin(np.abs(det)))
         raise SingularMatrixError(float(det[j]), det_floor)
+    if n == 2:  # four strided divisions beat dividing a stacked adjugate
+        inv = np.empty_like(mats)
+        inv[:, 0, 0] = mats[:, 1, 1] / det
+        inv[:, 0, 1] = -mats[:, 0, 1] / det
+        inv[:, 1, 0] = -mats[:, 1, 0] / det
+        inv[:, 1, 1] = mats[:, 0, 0] / det
+        return inv, det
     return -M / c_n[:, None, None], det
 
 
@@ -668,14 +671,28 @@ def cayley_inverse(sigma: MatrixBV | np.ndarray, x: Optional[np.ndarray] = None,
 
 def inverse_matrix_field(sigma: MatrixBV, det_floor: float = 1e-12) -> MatrixBV:
     """The pointwise inverse of sigma as a diagnostic MatrixBV (entries have
-    no gradient-measure generator)."""
+    no gradient-measure generator).  Its ``evaluate`` evaluates sigma and
+    inverts once for all entries."""
+    def invert(pts):
+        return batch_inverse(sigma.evaluate(np.atleast_2d(pts)), det_floor)[0]
+
     def make_entry(j, k):
-        def ev(pts):
-            return batch_inverse(sigma.evaluate(np.atleast_2d(pts)), det_floor)[0][:, j, k]
-        return ScalarBV(sigma.dim, ev, None, name=f"inv({sigma.name})[{j}{k}]")
+        return ScalarBV(sigma.dim, lambda pts: invert(pts)[:, j, k], None,
+                        name=f"inv({sigma.name})[{j}{k}]")
 
     e = tuple(tuple(make_entry(j, k) for k in range(sigma.dim)) for j in range(sigma.dim))
-    return MatrixBV(sigma.dim, e, name=f"inv({sigma.name})")
+    return _InverseField(sigma.dim, e, name=f"inv({sigma.name})", invert=invert)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _InverseField(MatrixBV):
+    """An inverse field whose evaluate inverts once for all entries."""
+
+    invert: Callable[[np.ndarray], np.ndarray]
+
+    def evaluate(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        return self.invert(pts[None])[0] if pts.ndim == 1 else self.invert(pts)
 
 
 def curl_check(sigma_hat: MatrixBV, region: np.ndarray, eps: float,
@@ -703,11 +720,10 @@ def curl_check(sigma_hat: MatrixBV, region: np.ndarray, eps: float,
     kernel = _flat_profile(kr)
     kernel /= kernel.sum()
 
-    fields = {}
-    for k in range(n):
-        for j in range(n):
-            vals = np.asarray(sigma_hat.entries[k][j](pts), dtype=float).reshape(shape)
-            fields[(k, j)] = ndimage.convolve(vals, kernel, mode="nearest")
+    vals = sigma_hat.evaluate(pts)  # one evaluation of the whole field
+    fields = {(k, j): ndimage.convolve(vals[:, k, j].reshape(shape), kernel,
+                                       mode="nearest")
+              for k in range(n) for j in range(n)}
 
     def central_diff(F, axis):
         return np.gradient(F, spacing, axis=axis)

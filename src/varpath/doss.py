@@ -1,17 +1,21 @@
 """Coefficient-to-solution transform machinery.
 
 Solves the a.e. Jacobian equation (Jf)(y) = sigma(f(y)) by constructing the
-potential g with grad g = inverse(sigma) (tabulated quadrature in 1D,
-axis-parallel line integration in nD) and inverting it; candidate solutions
-of dX = sigma(X) dY are then X_t = f(Y_t + g(x0)).  Verification operators
-check the integral-equation residual, the change-of-variable formula and the
-inversion identity g(X_t) - g(x0) = Y_t - Y_0.
+potential g with grad g = inverse(sigma) (Doss' transform) and inverting it;
+candidate solutions of dX = sigma(X) dY are then X_t = f(Y_t + g(x0)).  In
+1D, g is a quadrature table; in nD it is a table on a lattice anchored at
+the base point, built once by cumulative axis quadrature along polylines
+and interpolated multilinearly, and f is damped Newton on that interpolant.
+Verification operators check the integral-equation
+residual, the change-of-variable formula and the inversion identity
+g(X_t) - g(x0) = Y_t - Y_0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,18 +49,17 @@ class SolveConfig:
     """Resolution and tolerance knobs for map construction.
 
     table_points: nodes of the 1D quadrature table.
-    quad_step: target step of the nD line-integral quadrature.
-    mollify_eps: half-width of the symmetric lateral jitter stencil used to
-        mollify the inverse field along line integrals (0 disables).
+    quad_step: midpoint sub-step of the nD table's cell integrals; the
+        lattice spacing is SUBSTEPS * quad_step.
     curl_eps / curl_spacing / curl_threshold: resolution and acceptance
         level of the cross-derivative symmetry precheck.
-    path_agreement_tol: allowed discrepancy between the two polyline orders.
+    path_agreement_tol: allowed discrepancy between the tables of the two
+        polyline orders.
     """
 
     table_points: int = 8193
     quad_step: float = 5e-4
     inversion_tol: float = 2e-6
-    mollify_eps: float = 2e-3
     det_floor: float = 1e-9
     curl_eps: float = 0.12
     curl_spacing: float = 0.03
@@ -171,75 +174,147 @@ def solve_scalar(sigma: ScalarBV, domain: tuple[float, float],
 # nD construction
 # ---------------------------------------------------------------------------
 
-def _jitter_offsets(dim: int, axis: int, eps: float) -> np.ndarray:
-    """Symmetric lateral stencil (first-order errors cancel across straight
-    discontinuity loci): offsets applied to every coordinate except the
-    integration axis."""
-    if eps <= 0 or dim == 1:
-        return np.zeros((1, dim))
-    lateral = np.array([-0.75, -0.25, 0.25, 0.75]) * eps
-    offs = np.zeros((len(lateral), dim))
-    for k in range(dim):
-        if k != axis:
-            offs[:, k] = lateral
-    return offs
+SUBSTEPS = 10               # midpoint sub-steps of quad_step per lattice cell
+TABLE_NODE_BUDGET = 2 ** 23  # most lattice nodes a potential table may hold
+EVAL_CHUNK = 2 ** 18         # most points per sigma evaluation while tabulating
 
 
-def _line_integral(sigma: MatrixBV, base: np.ndarray, xs: np.ndarray,
-                   order: Sequence[int], n_q: int,
+class _PotentialTable:
+    """g with grad g = inverse(sigma) at the nodes base + h*i (i integer)
+    of an index box lo <= i <= hi, multilinear in between.
+
+    A node's value is the integral of the inverse field along the
+    axis-parallel polyline from the base that visits the axes in ``order``:
+    leg k runs along axis order[k] with the earlier axes at the node's
+    coordinates and the later ones at the base's, so it is a cumulative sum
+    along that axis, outward from the base, of cell integrals taken by the
+    midpoint rule over SUBSTEPS sub-steps.  Node coordinates are computed
+    from the base, so a node's value does not depend on the box; a query
+    outside the box grows it (at most TABLE_NODE_BUDGET nodes, about 14.5
+    units per side in 2-D and 1.0 in 3-D at the default spacing 5e-3).
+    """
+
+    def __init__(self, sigma: MatrixBV, base: np.ndarray, h: float,
+                 order: Sequence[int], det_floor: float, corners: np.ndarray):
+        self.sigma, self.base, self.h = sigma, base, h
+        self.order, self.det_floor = tuple(order), det_floor
+        self.lo = self.hi = np.zeros(sigma.dim, dtype=int)
+        self.values = None
+        self.cover(corners)
+
+    def _build(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        n = self.sigma.dim
+        shape = tuple(int(e) for e in hi - lo + 1)
+        self.lo, self.hi = lo, hi
+        self.values = np.zeros(shape + (n,))
+        for k, axis in enumerate(self.order):
+            self.values += self._leg(self.order[:k], axis)
+        self.strides = np.array([int(np.prod(shape[k + 1:])) for k in range(n)])
+
+    def _leg(self, lateral: tuple, axis: int) -> np.ndarray:
+        """Leg along ``axis`` with the ``lateral`` axes at lattice values,
+        shaped to broadcast against the table."""
+        n, h, base = self.sigma.dim, self.h, self.base
+        lo, hi = self.lo, self.hi
+        lat_shape = [int(hi[a] - lo[a] + 1) for a in lateral]
+        lat = (np.indices(lat_shape).reshape(len(lateral), int(np.prod(lat_shape))).T
+               + lo[list(lateral)]).astype(float)
+        cells = np.arange(lo[axis], hi[axis], dtype=float)
+        z = int(-lo[axis])  # position of the base node along the axis
+        vals = np.zeros((len(lat), len(cells) + 1, n))
+        rows = max(1, EVAL_CHUNK // len(cells))
+        for a in range(0, len(lat), rows):
+            b = min(len(lat), a + rows)
+            pts = np.empty((b - a, len(cells), n))
+            pts[:] = base
+            pts[:, :, list(lateral)] = base[list(lateral)] + lat[a:b, None, :] * h
+            acc = np.zeros((b - a, len(cells), n))
+            for sub in range(SUBSTEPS):
+                pts[:, :, axis] = base[axis] + (cells + (sub + 0.5) / SUBSTEPS) * h
+                hats = batch_inverse(self.sigma.evaluate(pts.reshape(-1, n)),
+                                     self.det_floor)[0]
+                acc += hats[:, :, axis].reshape(b - a, len(cells), n)
+            acc *= h / SUBSTEPS
+            # cumulative sums outward from the base node
+            vals[a:b, z + 1:] = np.cumsum(acc[:, z:], axis=1)
+            vals[a:b, :z] = -np.cumsum(acc[:, :z][:, ::-1], axis=1)[:, ::-1]
+        present = list(lateral) + [axis]
+        missing = [d for d in range(n) if d not in present]
+        vals = vals.reshape(lat_shape + [len(cells) + 1] + [1] * len(missing) + [n])
+        return vals.transpose(list(np.argsort(present + missing)) + [n])
+
+    def _index(self, x: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(x)):
+            raise ValueError("potential queried at a non-finite point")
+        return (x - self.base) / self.h
+
+    def holds(self, x: np.ndarray) -> np.ndarray:
+        """Which points of x lie in the box."""
+        t = self._index(x)
+        return np.all((t >= self.lo) & (t <= self.hi), axis=1)
+
+    def cover(self, x: np.ndarray) -> None:
+        """Build or grow the box until it holds every point of x."""
+        t = self._index(x)
+        lo = np.minimum(self.lo, np.floor(t.min(axis=0)))
+        hi = np.maximum(np.maximum(self.hi, np.ceil(t.max(axis=0))), lo + 1)
+        if self.values is not None and np.array_equal(lo, self.lo) \
+                and np.array_equal(hi, self.hi):
+            return
+        nodes = int(np.prod(hi - lo + 1))
+        if nodes > TABLE_NODE_BUDGET:
+            far = x[int(np.argmax(np.maximum(self.lo - t, t - self.hi).max(axis=1)))]
+            raise SolveRefusal(
+                f"holding point {far.tolist()} needs {nodes} lattice nodes at "
+                f"spacing {self.h:g}, beyond the potential table's budget of "
+                f"{TABLE_NODE_BUDGET}",
+                {"point": far.tolist(), "nodes": nodes,
+                 "node_budget": TABLE_NODE_BUDGET})
+        self._build(lo.astype(int), hi.astype(int))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.cover(x)
+        t = self._index(x)
+        i = np.clip(np.floor(t).astype(int), self.lo, self.hi - 1)
+        u = t - i
+        corner0 = (i - self.lo) @ self.strides
+        flat = self.values.reshape(-1, self.sigma.dim)
+        out = np.zeros_like(x)
+        for corner in itertools.product((0, 1), repeat=self.sigma.dim):
+            c = np.array(corner)
+            w = np.prod(np.where(c == 1, u, 1.0 - u), axis=1)
+            out += w[:, None] * flat[corner0 + c @ self.strides]
+        return out
+
+
+def _newton_invert(table: _PotentialTable, sigma: MatrixBV, ys: np.ndarray,
                    config: SolveConfig) -> np.ndarray:
-    """Integral of the inverse field along axis-parallel polylines from the
-    base to each target, axes visited in the given order.  The node count
-    n_q is fixed per construction so that the quadrature (and hence g) is a
-    continuous deterministic function of the target point."""
-    m, n = xs.shape
-    cur = np.broadcast_to(base, xs.shape).copy()
-    acc = np.zeros_like(xs)
-    u = (np.arange(n_q) + 0.5) / n_q
-    for axis in order:
-        L = xs[:, axis] - cur[:, axis]
-        offs = _jitter_offsets(n, axis, config.mollify_eps)
-        chunk = max(1, 2_000_000 // (n_q * len(offs)))
-        for a in range(0, m, chunk):
-            b = min(m, a + chunk)
-            pts = np.repeat(cur[a:b, None, :], n_q, axis=1)
-            pts[:, :, axis] += u[None, :] * L[a:b, None]
-            col = np.zeros((b - a, n_q, n))
-            for off in offs:
-                mats = sigma.evaluate((pts + off).reshape(-1, n))
-                hats = batch_inverse(mats, config.det_floor)[0]
-                col += hats.reshape(b - a, n_q, n, n)[:, :, :, axis]
-            col /= len(offs)
-            acc[a:b] += col.sum(axis=1) * (L[a:b, None] / n_q)
-        cur[:, axis] = xs[:, axis]
-    return acc
-
-
-def _newton_invert(g: Callable, sigma: MatrixBV, base: np.ndarray,
-                   region: np.ndarray, ys: np.ndarray,
-                   config: SolveConfig) -> np.ndarray:
-    """Damped Newton for g(x) = y using sigma(x) as the inverse-Jacobian
-    model, with random multistart fallback inside the region."""
-    m, n = ys.shape
-    rng = np.random.default_rng(config.seed + 1)
-    x = base + np.einsum("ij,mj->mi", sigma.evaluate(base), ys)
-    r = g(x) - ys
+    """Damped Newton for g(x) = y on the table's interpolant, using sigma(x)
+    as the inverse-Jacobian model, from x = base + sigma(base) y clipped to
+    the table.  A trial step outside the table is rejected; the table grows
+    only to hold the full steps of iterates that no damped step could move."""
+    m = len(ys)
+    x = np.clip(table.base + ys @ sigma.evaluate(table.base).T,
+                table.base + table.lo * table.h, table.base + table.hi * table.h)
+    r = table(x) - ys
     rn = np.linalg.norm(r, axis=1)
     tol = config.inversion_tol * (1.0 + np.linalg.norm(ys, axis=1))
-    restarts = np.zeros(m, dtype=int)
     for _ in range(config.newton_max_iter):
         active = rn > tol
         if not active.any():
             break
         ia = np.flatnonzero(active)
-        mats = sigma.evaluate(x[ia])
-        d = -np.einsum("mij,mj->mi", mats, r[ia])
+        d = -np.einsum("mij,mj->mi", sigma.evaluate(x[ia]), r[ia])
         lam = np.ones(len(ia))
         undone = np.ones(len(ia), dtype=bool)
+        leaves = ~table.holds(x[ia] + d)
         for _ in range(8):
             iu = ia[undone]
             xc = x[iu] + lam[undone, None] * d[undone]
-            rc = g(xc) - ys[iu]
+            inside = table.holds(xc)
+            rc = np.full_like(xc, np.inf)
+            if inside.any():
+                rc[inside] = table(xc[inside]) - ys[iu[inside]]
             rcn = np.linalg.norm(rc, axis=1)
             better = rcn <= (1.0 - 0.25 * lam[undone]) * rn[iu]
             accept = iu[better]
@@ -251,15 +326,9 @@ def _newton_invert(g: Callable, sigma: MatrixBV, base: np.ndarray,
             lam[undone] *= 0.5
             if not undone.any():
                 break
-        # stalled probes restart from a random point in the region
-        stalled = ia[undone]
-        fresh = stalled[restarts[stalled] < 3]
-        if len(fresh):
-            restarts[fresh] += 1
-            x[fresh] = region[:, 0] + rng.random((len(fresh), n)) * (
-                region[:, 1] - region[:, 0])
-            r[fresh] = g(x[fresh]) - ys[fresh]
-            rn[fresh] = np.linalg.norm(r[fresh], axis=1)
+        stuck = undone & leaves
+        if stuck.any():
+            table.cover(x[ia[stuck]] + d[stuck])
     bad = rn > tol
     if bad.any():
         j = np.flatnonzero(bad)[:8]
@@ -271,16 +340,22 @@ def _newton_invert(g: Callable, sigma: MatrixBV, base: np.ndarray,
 
 def solve_nd(sigma: MatrixBV, base, region,
              config: SolveConfig = SolveConfig()) -> DossMaps:
-    """Construct g with grad g = inverse(sigma) by line integration from the
-    base point and f = g^{-1} by damped Newton.
+    """Construct g with grad g = inverse(sigma), tabulated once on the
+    lattice base + h Z^n (h = SUBSTEPS * quad_step) over the region, and
+    f = g^{-1} by damped Newton on the table's interpolant.
 
     Preconditions (unless config.run_checks is off): the determinant floor
-    and the angular bound hold at random probes; the mollified inverse field
-    passes the cross-derivative symmetry check; the two polyline orders give
-    the same g at the probes; f(g(x)) = x at the probes.  Any failure raises
-    a refusal carrying the offending report — coefficients whose inverse
-    field carries circulation across its jump locus admit no single-valued
-    potential, and the refusal is the correct outcome.
+    and the angular bound hold at random probes; the inverse field passes
+    the cross-derivative symmetry check; the tables built along the two
+    polyline orders give the same g at the probes; f(g(x)) = x at the
+    probes.  Any failure raises a refusal carrying the offending report —
+    coefficients whose inverse field carries circulation across its jump
+    locus admit no single-valued potential, and the refusal is the correct
+    outcome.  A query outside the table grows it, up to TABLE_NODE_BUDGET
+    nodes; beyond that the query refuses, naming the point and the budget.
+    At the default quad_step the budget holds a region of about 14.5 units
+    per side in 2-D and 1.0 unit per side in 3-D (2896^2 and 203^3 nodes);
+    a larger region refuses while the table is built.
     """
     n = sigma.dim
     base = np.asarray(base, dtype=float).reshape(n)
@@ -310,31 +385,27 @@ def solve_nd(sigma: MatrixBV, base, region,
                 f"(residual {curl['max_residual']:.3g} > {config.curl_threshold:g}); "
                 "no single-valued potential exists at this resolution", curl)
 
-    order_fwd = tuple(range(n))
-    order_rev = tuple(reversed(order_fwd))
-    extent = float((region[:, 1] - region[:, 0]).max())
-    n_q = int(min(16384, max(64, np.ceil(extent / config.quad_step))))
-
-    def g_core(pts):
-        return _line_integral(sigma, base, pts, order_fwd, n_q, config)
+    h = SUBSTEPS * config.quad_step
+    table = _PotentialTable(sigma, base, h, range(n), config.det_floor, region.T)
 
     if config.run_checks:
-        fwd = g_core(probes)
-        rev = _line_integral(sigma, base, probes, order_rev, n_q, config)
+        fwd = table(probes)
+        rev = _PotentialTable(sigma, base, h, reversed(range(n)), config.det_floor,
+                              region.T)(probes)
         dev = float(np.abs(fwd - rev).max())
         scale = 1.0 + float(np.abs(fwd).max())
         if dev > config.path_agreement_tol * scale:
             raise SolveRefusal(
-                f"polyline orders disagree by {dev:.3g}: the line integral is "
+                f"polyline orders disagree by {dev:.3g}: the potential is "
                 "path-dependent on this region", {"max_deviation": dev})
 
     def f_core(ys):
-        return _newton_invert(g_core, sigma, base, region, ys, config)
+        return _newton_invert(table, sigma, ys, config)
 
     lip_f = float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
     lip_g = float(np.linalg.svd(hats, compute_uv=False)[:, 0].max())
 
-    maps = DossMaps(n, _vectorize(g_core, n), _vectorize(f_core, n),
+    maps = DossMaps(n, _vectorize(table, n), _vectorize(f_core, n),
                     lip_f=lip_f, lip_g=lip_g, source="solved")
     if config.run_checks:
         round_trip = maps.f(maps.g(probes))

@@ -227,6 +227,9 @@ def run_path(config: dict, seed: int, out_dir: str) -> int:
 def run_variability(config: dict, seed: int, out_dir: str) -> int:
     path = path_from_config(config, seed)
     phi = coefficient_from_config(config)
+    if phi.dim != path.dim:
+        raise ConfigError(f"coefficient {config['coefficient']!r} has dimension {phi.dim}, "
+                          f"the path has dimension {path.dim}")
     params = VariabilityParams(
         s=_unit_open(config, "s"),
         p=_need(config, "p", float, default=1.0, low=1.0, finite=False),

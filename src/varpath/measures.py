@@ -54,12 +54,6 @@ class DiscreteMeasure:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    def ball_mass(self, x: np.ndarray, r: float) -> float:
-        """Mass of the closed ball B(x, r)."""
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        d = np.linalg.norm(self.locations - x, axis=1)
-        return float(self.weights[d <= r].sum())
-
     def to_csv(self, path: str) -> None:
         header = ",".join(f"x{k + 1}" for k in range(self.dim)) + ",weight"
         data = np.column_stack([self.locations, self.weights])

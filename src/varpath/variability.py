@@ -214,14 +214,6 @@ def compose(phi: ScalarBV, path: SampledPath) -> GridFunction:
     return GridFunction(path.grid, vals)
 
 
-def gagliardo_seminorm(f: GridFunction, theta: float, p: float,
-                       diagonal_floor: int = 1) -> float:
-    """Gagliardo seminorm of order theta: the 1/p power of the off-diagonal
-    double Riemann sum of |f(t)-f(u)|^p |t-u|^(-1-theta p)."""
-    power = gagliardo_pth_power(f.values, f.grid.dt, theta, p, diagonal_floor)
-    return float(power ** (1.0 / p))
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     lhs: float

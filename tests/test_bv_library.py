@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from varpath.bv_library import (MatrixBV, ScalarBV, SingularMatrixError,
-                                batch_inverse, cantor_coefficient, cantor_function,
-                                cantor_integral, cantor_level_atoms,
+                                _flat_profile, batch_inverse, cantor_coefficient,
+                                cantor_function, cantor_integral, cantor_level_atoms,
                                 cantor_matrix, cayley_inverse, cone_indicator,
                                 cone_matrix, constant_scalar, curl_check,
                                 distortion_check, halfplane_below_line,
@@ -138,6 +139,34 @@ def test_batch_inverse_reports_the_singular_matrix(n):
     assert info.value.det == pytest.approx(1e-13, rel=1e-9)
 
 
+def _leverrier(mats):
+    """Faddeev-LeVerrier reference: inverses and determinants of (m, n, n)."""
+    n = mats.shape[-1]
+    M = np.broadcast_to(np.eye(n), mats.shape).copy()
+    for k in range(1, n):
+        AM = mats @ M
+        M = AM - (np.einsum("mii->m", AM) / k)[:, None, None] * np.eye(n)
+    c_n = -np.einsum("mii->m", mats @ M) / n
+    return -M / c_n[:, None, None], (-1.0) ** n * c_n
+
+
+def test_batch_inverse_2x2_matches_leverrier():
+    rng = np.random.default_rng(21)
+    mats = rng.standard_normal((4000, 2, 2)) + 2 * np.eye(2)
+    mats = mats[np.abs(np.linalg.det(mats)) > 1e-3]
+    inv, det = batch_inverse(mats)
+    ref_inv, ref_det = _leverrier(mats)
+    scale = np.abs(ref_inv).max(axis=(1, 2))
+    assert np.all(np.abs(inv - ref_inv).max(axis=(1, 2)) <= 1e-12 * scale)
+    assert np.allclose(det, ref_det, rtol=1e-12, atol=0)
+    mats[123] = [[1.0, 2.0], [0.5, 1.0 + 1e-14]]
+    with pytest.raises(SingularMatrixError) as info:
+        batch_inverse(mats, det_floor=1e-9)
+    assert info.value.det == pytest.approx(_leverrier(mats[123:124])[1][0], abs=1e-15)
+    assert info.value.floor == 1e-9
+    assert str(info.value) == f"determinant {info.value.det:g} at or below floor {1e-9:g}"
+
+
 def test_lipschitz_wrap_gradient_mass():
     # f(x) = x1 has |grad f| = 1, so the gradient measure of the unit box
     # carries total mass 1
@@ -169,6 +198,54 @@ def test_curl_check_cone_asymmetric():
     inv = inverse_matrix_field(sigma)
     rep = curl_check(inv, np.array([[-1.0, 1.0], [-1.0, 1.0]]), eps=0.1, spacing=0.025)
     assert rep["max_residual"] > 0.5
+
+
+def _curl_per_entry(sigma_hat, region, eps, spacing):
+    """The curl residual with every entry of the inverse field evaluated on
+    its own, as a reference for the one-evaluation check."""
+    n = sigma_hat.dim
+    pad = eps + 2 * spacing
+    axes = [np.arange(region[k, 0] - pad, region[k, 1] + pad + spacing / 2, spacing)
+            for k in range(n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([m.ravel() for m in mesh])
+    rad = int(np.ceil(eps / spacing))
+    offs = np.arange(-rad, rad + 1) * spacing
+    kmesh = np.meshgrid(*([offs] * n), indexing="ij")
+    kernel = _flat_profile(np.sqrt(sum(km ** 2 for km in kmesh)) / eps)
+    kernel /= kernel.sum()
+    fields = {(k, j): ndimage.convolve(
+        np.asarray(sigma_hat.entries[k][j](pts)).reshape(mesh[0].shape), kernel,
+        mode="nearest") for k in range(n) for j in range(n)}
+    interior = tuple(slice(rad + 1, -(rad + 1)) for _ in range(n))
+    per = {}
+    for k in range(n):
+        for i in range(n):
+            for j in range(i + 1, n):
+                r = (np.gradient(fields[(k, j)], spacing, axis=i)
+                     - np.gradient(fields[(k, i)], spacing, axis=j))
+                per[(i, j, k)] = float(np.abs(r[interior]).max())
+    return max(per.values()), per
+
+
+@pytest.mark.parametrize("sigma", [cone_matrix(1.0, 2.0), jump_line_matrix(2.0)],
+                         ids=["cone(1,2)", "jump_line(2)"])
+def test_curl_check_evaluates_once(sigma):
+    calls = []
+
+    def counted(entry):
+        def ev(pts):
+            calls.append(len(pts))
+            return entry.evaluate(pts)
+        return ScalarBV(entry.dim, ev, entry.gradient_measure, name=entry.name)
+
+    watched = MatrixBV(2, tuple(tuple(counted(e) for e in row) for row in sigma.entries))
+    region = np.array([[-2.0, 2.0], [-2.0, 2.0]])
+    rep = curl_check(inverse_matrix_field(watched), region, eps=0.12, spacing=0.03)
+    assert len(calls) == 4  # sigma evaluated once over the grid: one call per entry
+    worst, per = _curl_per_entry(inverse_matrix_field(sigma), region, 0.12, 0.03)
+    assert rep["max_residual"] == worst
+    assert rep["per_component"] == per
 
 
 def test_distortion_check_identity_like():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from varpath.bv_library import (ScalarBV, cantor_matrix, cone_matrix,
-                                jump_line_matrix)
+from varpath.bv_library import (MatrixBV, ScalarBV, cantor_matrix, cone_matrix,
+                                constant_scalar, jump_line_matrix)
 from varpath.doss import (BVGradientMap, DossMaps, SolveConfig, SolveRefusal,
                           build_solution, change_of_variable_check,
                           closed_form_maps, residual, solve_nd, solve_scalar,
@@ -217,3 +217,103 @@ def test_change_of_variable_refuses_rough_path():
                   scalar_coeff(lambda q: np.zeros(len(q)), dim=2)))
     with pytest.raises(SolveRefusal):
         change_of_variable_check(F, X, theta=0.35)
+
+
+# ---------------------------------------------------------------------------
+# the tabulated nD potential
+# ---------------------------------------------------------------------------
+
+def _off_locus(rng, c, w, count=32, gap=0.05):
+    """Points uniform in [-0.75w, 0.75w]^2 at least gap from x2 = c x1, drawn
+    as the benchmark's solve_map workload draws its probes."""
+    pts = rng.uniform(-0.75 * w, 0.75 * w, size=(8 * count, 2))
+    pts = pts[np.abs(pts[:, 1] - c * pts[:, 0]) > gap]
+    return pts[:count]
+
+
+def test_solve_nd_inverts_the_benchmark_targets():
+    # solve_map's first jump op (input seed 0, round 0: c = 1.5, w = 0.5);
+    # the line-integral potential was a staircase at the 1e-5 scale there and
+    # Newton refused these in-range targets
+    c, w = 1.5, 0.5
+    base = np.array([-0.75 * w, -0.75 * w])
+    sol = solve_nd(jump_line_matrix(c), base, np.array([[-w, w], [-w, w]]))
+    maps = closed_form_maps("jump_line", c=c)
+    rng = np.random.default_rng(0)
+    _off_locus(rng, c, w)  # the round's g probes come first
+    src = _off_locus(rng, c, w)
+    ys = maps.g(src) - maps.g(base)
+    assert np.max(np.abs(sol.f(ys) - src)) < 1e-3
+
+
+@pytest.mark.parametrize("c, shift", [(1.0 + np.sqrt(2.0), (0.0, 0.0)),
+                                      (1.5, (1.23e-4, 3.71e-4))],
+                         ids=["c=1+sqrt2", "offset base"])
+def test_solve_nd_unaligned_locus(c, shift):
+    # the jump line crosses the lattice's sub-cells at irrational positions,
+    # so g carries a quadrature error in every column that crosses it
+    sigma = jump_line_matrix(c)
+    base = np.array([-0.75, -0.75]) + np.array(shift)
+    sol = solve_nd(sigma, base, np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+    maps = closed_form_maps("jump_line", c=c)
+    off = maps.g(base)
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-0.9, 0.9, (400, 2))
+    xs = xs[np.abs(xs[:, 1] - c * xs[:, 0]) > 0.05]
+    assert np.max(np.abs(sol.g(xs) - (maps.g(xs) - off))) < 1e-3
+    ys = maps.g(xs) - off
+    assert np.max(np.abs(sol.f(ys) - xs)) < 1e-3
+
+
+def test_solve_nd_growth_keeps_node_values():
+    # g at fixed points is the same, bit for bit, before and after the table
+    # grows to answer a query outside it
+    sigma = jump_line_matrix(2.0)
+    base = np.array([-0.3, -0.3])
+    region = np.array([[-0.5, 0.5], [-0.5, 0.5]])
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-0.5, 0.5, (200, 2))
+    fresh = solve_nd(sigma, base, region).g(xs)
+    grown = solve_nd(sigma, base, region)
+    far = grown.g(np.array([[0.9, -0.8]]))
+    assert np.all(np.isfinite(far))
+    assert np.array_equal(grown.g(xs), fresh)
+    # growth stops at a fixed node budget: the query beyond it refuses and
+    # names its point, and the table keeps answering inside
+    with pytest.raises(SolveRefusal, match="budget") as exc:
+        grown.g(np.array([[1e4, 0.0]]))
+    assert exc.value.report["point"] == [1e4, 0.0]
+    # in a batch, the refusal names the point beyond the table, not one
+    # inside it on a face of the box the batch would need
+    with pytest.raises(SolveRefusal, match="budget") as exc:
+        grown.g(np.array([[0.0, -0.8], [1e4, 0.0], [0.9, 0.1]]))
+    assert exc.value.report["point"] == [1e4, 0.0]
+    assert np.array_equal(grown.g(xs), fresh)
+
+
+def test_solve_nd_constant_coefficient_3d():
+    # constant sigma = A: g(x) = A^{-1}(x - base) and f(y) = base + A y, which
+    # the table reproduces to rounding (multilinear interpolation is exact
+    # on affine data)
+    A = np.array([[2.0, 0.3, -0.2], [0.1, 1.5, 0.4], [-0.3, 0.2, 1.8]])
+    sigma = MatrixBV(3, tuple(tuple(constant_scalar(A[j, k], 3) for k in range(3))
+                              for j in range(3)))
+    base = np.array([-0.2, 0.1, 0.0])
+    region = np.array([[-0.5, 0.5]] * 3)
+    sol = solve_nd(sigma, base, region, SolveConfig(quad_step=5e-3))
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-0.5, 0.5, (300, 3))
+    expect = (xs - base) @ np.linalg.inv(A).T
+    assert np.max(np.abs(sol.g(xs) - expect)) < 1e-12
+    ys = rng.uniform(-0.2, 0.2, (300, 3))
+    assert np.max(np.abs(sol.f(ys) - (base + ys @ A.T))) < 1e-9
+
+
+def test_solve_nd_refuses_a_region_beyond_the_node_budget():
+    # at the default spacing the table holds about 1.0 unit per side in 3-D,
+    # so [-1, 1]^3 refuses while the table is built
+    sigma = MatrixBV(3, tuple(tuple(constant_scalar(float(j == k), 3)
+                                    for k in range(3)) for j in range(3)))
+    with pytest.raises(SolveRefusal, match="budget of 8388608") as exc:
+        solve_nd(sigma, np.zeros(3), np.array([[-1.0, 1.0]] * 3))
+    assert exc.value.report["nodes"] > exc.value.report["node_budget"]

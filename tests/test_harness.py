@@ -179,6 +179,14 @@ def test_cli_bad_config_exits_2(tmp_path):
                 cwd=str(tmp_path))
     assert r.returncode == 2, r.stderr
     assert "'p'" in r.stderr and not (tmp_path / "variability_report.json").exists()
+    # a coefficient whose dimension differs from the path's
+    cfg = tmp_path / "mismatch.json"
+    cfg.write_text(json.dumps({"path": "fbm", "N": 64, "hurst": 0.7, "dim": 1,
+                               "coefficient": "jump_line", "s": 0.5}))
+    r = run_cli(["variability", "--config", str(cfg), "--out-dir", str(tmp_path)],
+                cwd=str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "dimension 2" in r.stderr and "dimension 1" in r.stderr
 
 
 def test_cli_validate(tmp_path):
