@@ -27,8 +27,7 @@ from .measures import (DiscreteMeasure, KernelPolicy, occupation_measure,
                        local_time_density)
 from .bv_library import (ScalarBV, MatrixBV, constant_scalar, cantor_coefficient,
                          jump_line_matrix, cone_matrix, cantor_matrix,
-                         cayley_inverse, inverse_matrix_field, curl_check,
-                         distortion_check)
+                         cayley_inverse, curl_check, distortion_check)
 from .variability import (VariabilityParams, VariabilityReport,
                           VariabilityRefusal, classify, require_finite,
                           compose, fbm_energy_bound)
@@ -37,8 +36,8 @@ from .frac_calc import (FracParams, rl_integral_left, rl_integral_right,
                         norm_W0, norm_WT)
 from .gls_integral import (NormOverflowError, gls_integrate,
                            gls_integrate_series, riemann_sum, rate_study)
-from .doss import (DossMaps, SolveConfig, SolveRefusal, solve_scalar, solve_nd,
-                   closed_form_maps, build_solution, residual,
-                   uniqueness_check, change_of_variable_check)
+from .doss import (DossMaps, SolveRefusal, solve_nd, closed_form_maps,
+                   build_solution, residual, uniqueness_check,
+                   change_of_variable_check)
 
 __version__ = "0.1.0"

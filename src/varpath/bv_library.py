@@ -16,13 +16,13 @@ distortion/angular constants).
 Every matrix inverse and determinant in the package comes from one batched
 routine, ``batch_inverse``, which inverts a stack (m, n, n) in one pass (the
 adjugate in closed form for n = 2, the Faddeev-LeVerrier recursion
-otherwise) and applies the determinant floor; ``cayley_inverse``,
-``matrix_det`` and ``inverse_matrix_field`` wrap it.
+otherwise) and applies the determinant floor; ``cayley_inverse`` and
+``matrix_det`` wrap it, and ``curl_check`` inverts its grid with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -605,10 +605,16 @@ def mollify(phi: ScalarBV, eps: float, n_nodes_1d: int = 32) -> ScalarBV:
 # ---------------------------------------------------------------------------
 
 class SingularMatrixError(ValueError):
-    def __init__(self, det: float, floor: float):
+    """``det`` is the determinant of smallest magnitude in a batch and
+    ``index`` its matrix's position; a caller that knows where that matrix
+    was evaluated sets ``point``."""
+
+    def __init__(self, det: float, floor: float, index: int):
         super().__init__(f"determinant {det:g} at or below floor {floor:g}")
         self.det = det
         self.floor = floor
+        self.index = index
+        self.point = None
 
 
 def batch_inverse(mats: np.ndarray,
@@ -639,7 +645,7 @@ def batch_inverse(mats: np.ndarray,
         det = (-1.0) ** n * c_n
     if np.any(np.abs(det) <= det_floor):
         j = int(np.argmin(np.abs(det)))
-        raise SingularMatrixError(float(det[j]), det_floor)
+        raise SingularMatrixError(float(det[j]), det_floor, j)
     if n == 2:  # four strided divisions beat dividing a stacked adjugate
         inv = np.empty_like(mats)
         inv[:, 0, 0] = mats[:, 1, 1] / det
@@ -669,42 +675,22 @@ def cayley_inverse(sigma: MatrixBV | np.ndarray, x: Optional[np.ndarray] = None,
     return batch_inverse(A[None], det_floor)[0][0]
 
 
-def inverse_matrix_field(sigma: MatrixBV, det_floor: float = 1e-12) -> MatrixBV:
-    """The pointwise inverse of sigma as a diagnostic MatrixBV (entries have
-    no gradient-measure generator).  Its ``evaluate`` evaluates sigma and
-    inverts once for all entries."""
-    def invert(pts):
-        return batch_inverse(sigma.evaluate(np.atleast_2d(pts)), det_floor)[0]
-
-    def make_entry(j, k):
-        return ScalarBV(sigma.dim, lambda pts: invert(pts)[:, j, k], None,
-                        name=f"inv({sigma.name})[{j}{k}]")
-
-    e = tuple(tuple(make_entry(j, k) for k in range(sigma.dim)) for j in range(sigma.dim))
-    return _InverseField(sigma.dim, e, name=f"inv({sigma.name})", invert=invert)
-
-
-@dataclass(frozen=True, kw_only=True)
-class _InverseField(MatrixBV):
-    """An inverse field whose evaluate inverts once for all entries."""
-
-    invert: Callable[[np.ndarray], np.ndarray]
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return self.invert(pts[None])[0] if pts.ndim == 1 else self.invert(pts)
-
-
-def curl_check(sigma_hat: MatrixBV, region: np.ndarray, eps: float,
-               spacing: float) -> dict:
+def curl_check(sigma: MatrixBV, region: np.ndarray, eps: float,
+               spacing: float, det_floor: float = 1e-12) -> dict:
     """Max residual of the cross-derivative symmetry
-    D_i sigma_hat[k][j] - D_j sigma_hat[k][i] on a grid over the region,
-    after mollifying each entry at radius eps (entries may jump; raw
-    differences of a jump are meaningless).  Requires eps >= 2*spacing."""
-    region = np.asarray(region, dtype=float).reshape(sigma_hat.dim, 2)
+    D_i sigma_hat[k][j] - D_j sigma_hat[k][i] of the inverse field
+    sigma_hat = sigma^{-1} on a grid over the region, after mollifying each
+    entry at radius eps (entries may jump; raw differences of a jump are
+    meaningless).  Requires eps >= 2*spacing.  In 1D no cross derivative
+    exists and the residual is 0 without evaluating sigma.  Raises
+    SingularMatrixError, its ``point`` set, at a grid point where
+    |det sigma| <= det_floor."""
+    region = np.asarray(region, dtype=float).reshape(sigma.dim, 2)
     if eps < 2 * spacing:
         raise ValueError("eps must be at least twice the grid spacing")
-    n = sigma_hat.dim
+    n = sigma.dim
+    if n == 1:
+        return {"max_residual": 0.0, "per_component": {}}
     pad = eps + 2 * spacing
     axes = [np.arange(region[k, 0] - pad, region[k, 1] + pad + spacing / 2, spacing)
             for k in range(n)]
@@ -720,8 +706,12 @@ def curl_check(sigma_hat: MatrixBV, region: np.ndarray, eps: float,
     kernel = _flat_profile(kr)
     kernel /= kernel.sum()
 
-    vals = sigma_hat.evaluate(pts)  # one evaluation of the whole field
-    fields = {(k, j): ndimage.convolve(vals[:, k, j].reshape(shape), kernel,
+    try:  # one evaluation and one inversion of the whole grid
+        hats = batch_inverse(sigma.evaluate(pts), det_floor)[0]
+    except SingularMatrixError as exc:
+        exc.point = pts[exc.index].tolist()
+        raise
+    fields = {(k, j): ndimage.convolve(hats[:, k, j].reshape(shape), kernel,
                                        mode="nearest")
               for k in range(n) for j in range(n)}
 

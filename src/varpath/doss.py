@@ -3,12 +3,12 @@
 Solves the a.e. Jacobian equation (Jf)(y) = sigma(f(y)) by constructing the
 potential g with grad g = inverse(sigma) (Doss' transform) and inverting it;
 candidate solutions of dX = sigma(X) dY are then X_t = f(Y_t + g(x0)).  In
-1D, g is a quadrature table; in nD it is a table on a lattice anchored at
-the base point, built once by cumulative axis quadrature along polylines
-and interpolated multilinearly, and f is damped Newton on that interpolant.
-Verification operators check the integral-equation
-residual, the change-of-variable formula and the inversion identity
-g(X_t) - g(x0) = Y_t - Y_0.
+every dimension n >= 1, g is one table on a lattice anchored at the base
+point, built once by cumulative axis quadrature along polylines and
+interpolated multilinearly, and f is damped Newton on that interpolant; a
+1D coefficient enters as the 1x1 MatrixBV.  Verification operators check
+the integral-equation residual, the change-of-variable formula and the
+inversion identity g(X_t) - g(x0) = Y_t - Y_0.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ import numpy as np
 
 from .bv_library import (
     MatrixBV,
-    ScalarBV,
     SingularMatrixError,
     batch_inverse,
     cantor_cumulative,
     cantor_cumulative_inverse,
     curl_check,
     distortion_check,
-    inverse_matrix_field,
 )
 from .gls_integral import gls_integrate_series
 from .grid_paths import SampledPath, TimeGrid, estimate_holder
@@ -42,39 +40,6 @@ class SolveRefusal(RuntimeError):
     def __init__(self, message: str, report: Optional[dict] = None):
         super().__init__(message)
         self.report = report or {}
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Resolution and tolerance knobs for map construction.
-
-    table_points: nodes of the 1D quadrature table.
-    quad_step: midpoint sub-step of the nD table's cell integrals; the
-        lattice spacing is SUBSTEPS * quad_step.
-    curl_eps / curl_spacing / curl_threshold: resolution and acceptance
-        level of the cross-derivative symmetry precheck.
-    path_agreement_tol: allowed discrepancy between the tables of the two
-        polyline orders.
-    """
-
-    table_points: int = 8193
-    quad_step: float = 5e-4
-    inversion_tol: float = 2e-6
-    det_floor: float = 1e-9
-    curl_eps: float = 0.12
-    curl_spacing: float = 0.03
-    curl_threshold: float = 0.5
-    path_agreement_tol: float = 1e-3
-    newton_max_iter: int = 60
-    n_check_probes: int = 128
-    run_checks: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.table_points < 3 or self.quad_step <= 0 or self.inversion_tol <= 0:
-            raise ValueError("resolution parameters must be positive")
-        if self.det_floor <= 0 or self.curl_eps <= 0 or self.curl_spacing <= 0:
-            raise ValueError("floors and radii must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,73 +75,38 @@ def _vectorize(core: Callable[[np.ndarray], np.ndarray], dim: int):
 
 
 # ---------------------------------------------------------------------------
-# 1D construction
-# ---------------------------------------------------------------------------
-
-def solve_scalar(sigma: ScalarBV, domain: tuple[float, float],
-                 config: SolveConfig = SolveConfig()) -> DossMaps:
-    """Tabulate g(x) = int_0^x dz / sigma(z) by midpoint quadrature on the
-    domain and return (g, f = g^{-1}) as interpolating maps.
-
-    sigma must be nonnegative with 1/sigma integrable; a nonpositive or
-    non-finite reciprocal at grid scale triggers a refusal naming the cell.
-    The tabulated g must be strictly increasing (hard error otherwise).
-    """
-    if sigma.dim != 1:
-        raise ValueError("solve_scalar needs a one-dimensional coefficient")
-    lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise ValueError("empty domain")
-    nodes = np.linspace(lo, hi, config.table_points)
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    sv = np.asarray(sigma(mids[:, None]), dtype=float)
-    bad = ~np.isfinite(sv) | (sv <= 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SolveRefusal(
-            f"1/sigma is not integrable at grid scale: sigma={sv[i]:g} in "
-            f"cell [{nodes[i]:g}, {nodes[i + 1]:g}]",
-            {"cell_index": i, "cell": (float(nodes[i]), float(nodes[i + 1]))})
-    inv = 1.0 / sv
-    if not np.all(np.isfinite(inv)):
-        i = int(np.argmax(~np.isfinite(inv)))
-        raise SolveRefusal(
-            f"1/sigma overflowed in cell [{nodes[i]:g}, {nodes[i + 1]:g}]",
-            {"cell_index": i})
-    h = nodes[1] - nodes[0]
-    gtab = np.concatenate([[0.0], np.cumsum(inv * h)])
-    if lo <= 0.0 <= hi:
-        gtab = gtab - np.interp(0.0, nodes, gtab)
-    if not np.all(np.diff(gtab) > 0):
-        raise RuntimeError("tabulated potential is not strictly increasing")
-
-    pad = 1e-9 * (1.0 + abs(hi) + abs(lo))
-
-    def g_core(pts):
-        x = pts[:, 0]
-        if np.any(x < lo - pad) or np.any(x > hi + pad):
-            raise ValueError(f"point outside the solved domain [{lo:g}, {hi:g}]")
-        return np.interp(x, nodes, gtab)[:, None]
-
-    def f_core(pts):
-        y = pts[:, 0]
-        if np.any(y < gtab[0] - pad) or np.any(y > gtab[-1] + pad):
-            raise ValueError(
-                f"value outside the tabulated range [{gtab[0]:g}, {gtab[-1]:g}]")
-        return np.interp(y, gtab, nodes)[:, None]
-
-    return DossMaps(1, _vectorize(g_core, 1), _vectorize(f_core, 1),
-                    lip_f=float(sv.max()), lip_g=float(inv.max()),
-                    source="solved")
-
-
-# ---------------------------------------------------------------------------
-# nD construction
+# The tabulated potential
 # ---------------------------------------------------------------------------
 
 SUBSTEPS = 10               # midpoint sub-steps of quad_step per lattice cell
 TABLE_NODE_BUDGET = 2 ** 23  # most lattice nodes a potential table may hold
 EVAL_CHUNK = 2 ** 18         # most points per sigma evaluation while tabulating
+DET_FLOOR = 1e-9             # least det sigma the construction accepts
+INVERSION_TOL = 2e-6         # Newton residual tolerance, relative to 1 + |y|
+NEWTON_MAX_ITER = 60
+N_CHECK_PROBES = 128         # random probes of the preconditions (seed 0)
+CURL_EPS = 0.12              # mollifier radius of the curl check
+CURL_SPACING = 0.03          # grid spacing of the curl check
+CURL_THRESHOLD = 0.5         # largest accepted curl residual
+PATH_AGREEMENT_TOL = 1e-3    # allowed gap between the two polyline orders
+
+
+def _inverse(mats: np.ndarray, pts: np.ndarray, stage: str) -> np.ndarray:
+    """Inverses of the values mats of sigma at pts; refuses, naming the
+    stage and the point, where det sigma <= DET_FLOOR (signed: where det
+    sigma changes sign the potential folds and has no inverse)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hats, dets = batch_inverse(mats, -np.inf)
+    if not dets.min() > DET_FLOOR:
+        j = int(np.argmin(dets))
+        raise _singular(stage, pts[j].tolist(), float(dets[j]))
+    return hats
+
+
+def _singular(stage: str, point: list, det: float) -> SolveRefusal:
+    return SolveRefusal(
+        f"{stage}: det sigma = {det:g} at or below the floor {DET_FLOOR:g} "
+        f"at {point}", {"stage": stage, "point": point, "min_det": det})
 
 
 class _PotentialTable:
@@ -192,26 +122,27 @@ class _PotentialTable:
     from the base, so a node's value does not depend on the box; a query
     outside the box grows it (at most TABLE_NODE_BUDGET nodes, about 14.5
     units per side in 2-D and 1.0 in 3-D at the default spacing 5e-3).
+    Every sub-step refuses where det sigma <= DET_FLOOR, naming the stage
+    (the build, or the g or f query that grew the table).
     """
 
     def __init__(self, sigma: MatrixBV, base: np.ndarray, h: float,
-                 order: Sequence[int], det_floor: float, corners: np.ndarray):
-        self.sigma, self.base, self.h = sigma, base, h
-        self.order, self.det_floor = tuple(order), det_floor
+                 order: Sequence[int], corners: np.ndarray, stage: str):
+        self.sigma, self.base, self.h, self.order = sigma, base, h, tuple(order)
         self.lo = self.hi = np.zeros(sigma.dim, dtype=int)
         self.values = None
-        self.cover(corners)
+        self.cover(corners, stage)
 
-    def _build(self, lo: np.ndarray, hi: np.ndarray) -> None:
+    def _build(self, lo: np.ndarray, hi: np.ndarray, stage: str) -> None:
         n = self.sigma.dim
         shape = tuple(int(e) for e in hi - lo + 1)
         self.lo, self.hi = lo, hi
         self.values = np.zeros(shape + (n,))
         for k, axis in enumerate(self.order):
-            self.values += self._leg(self.order[:k], axis)
+            self.values += self._leg(self.order[:k], axis, stage)
         self.strides = np.array([int(np.prod(shape[k + 1:])) for k in range(n)])
 
-    def _leg(self, lateral: tuple, axis: int) -> np.ndarray:
+    def _leg(self, lateral: tuple, axis: int, stage: str) -> np.ndarray:
         """Leg along ``axis`` with the ``lateral`` axes at lattice values,
         shaped to broadcast against the table."""
         n, h, base = self.sigma.dim, self.h, self.base
@@ -231,8 +162,8 @@ class _PotentialTable:
             acc = np.zeros((b - a, len(cells), n))
             for sub in range(SUBSTEPS):
                 pts[:, :, axis] = base[axis] + (cells + (sub + 0.5) / SUBSTEPS) * h
-                hats = batch_inverse(self.sigma.evaluate(pts.reshape(-1, n)),
-                                     self.det_floor)[0]
+                q = pts.reshape(-1, n)
+                hats = _inverse(self.sigma.evaluate(q), q, stage)
                 acc += hats[:, :, axis].reshape(b - a, len(cells), n)
             acc *= h / SUBSTEPS
             # cumulative sums outward from the base node
@@ -253,7 +184,7 @@ class _PotentialTable:
         t = self._index(x)
         return np.all((t >= self.lo) & (t <= self.hi), axis=1)
 
-    def cover(self, x: np.ndarray) -> None:
+    def cover(self, x: np.ndarray, stage: str) -> None:
         """Build or grow the box until it holds every point of x."""
         t = self._index(x)
         lo = np.minimum(self.lo, np.floor(t.min(axis=0)))
@@ -265,15 +196,15 @@ class _PotentialTable:
         if nodes > TABLE_NODE_BUDGET:
             far = x[int(np.argmax(np.maximum(self.lo - t, t - self.hi).max(axis=1)))]
             raise SolveRefusal(
-                f"holding point {far.tolist()} needs {nodes} lattice nodes at "
-                f"spacing {self.h:g}, beyond the potential table's budget of "
-                f"{TABLE_NODE_BUDGET}",
-                {"point": far.tolist(), "nodes": nodes,
+                f"{stage}: holding point {far.tolist()} needs {nodes} lattice "
+                f"nodes at spacing {self.h:g}, beyond the potential table's "
+                f"budget of {TABLE_NODE_BUDGET}",
+                {"stage": stage, "point": far.tolist(), "nodes": nodes,
                  "node_budget": TABLE_NODE_BUDGET})
-        self._build(lo.astype(int), hi.astype(int))
+        self._build(lo.astype(int), hi.astype(int), stage)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.cover(x)
+        self.cover(x, "g query")
         t = self._index(x)
         i = np.clip(np.floor(t).astype(int), self.lo, self.hi - 1)
         u = t - i
@@ -287,8 +218,8 @@ class _PotentialTable:
         return out
 
 
-def _newton_invert(table: _PotentialTable, sigma: MatrixBV, ys: np.ndarray,
-                   config: SolveConfig) -> np.ndarray:
+def _newton_invert(table: _PotentialTable, sigma: MatrixBV,
+                   ys: np.ndarray) -> np.ndarray:
     """Damped Newton for g(x) = y on the table's interpolant, using sigma(x)
     as the inverse-Jacobian model, from x = base + sigma(base) y clipped to
     the table.  A trial step outside the table is rejected; the table grows
@@ -298,8 +229,8 @@ def _newton_invert(table: _PotentialTable, sigma: MatrixBV, ys: np.ndarray,
                 table.base + table.lo * table.h, table.base + table.hi * table.h)
     r = table(x) - ys
     rn = np.linalg.norm(r, axis=1)
-    tol = config.inversion_tol * (1.0 + np.linalg.norm(ys, axis=1))
-    for _ in range(config.newton_max_iter):
+    tol = INVERSION_TOL * (1.0 + np.linalg.norm(ys, axis=1))
+    for _ in range(NEWTON_MAX_ITER):
         active = rn > tol
         if not active.any():
             break
@@ -328,7 +259,7 @@ def _newton_invert(table: _PotentialTable, sigma: MatrixBV, ys: np.ndarray,
                 break
         stuck = undone & leaves
         if stuck.any():
-            table.cover(x[ia[stuck]] + d[stuck])
+            table.cover(x[ia[stuck]] + d[stuck], "f query")
     bad = rn > tol
     if bad.any():
         j = np.flatnonzero(bad)[:8]
@@ -338,81 +269,72 @@ def _newton_invert(table: _PotentialTable, sigma: MatrixBV, ys: np.ndarray,
     return x
 
 
-def solve_nd(sigma: MatrixBV, base, region,
-             config: SolveConfig = SolveConfig()) -> DossMaps:
+def solve_nd(sigma: MatrixBV, base, region, *, quad_step: float = 5e-4) -> DossMaps:
     """Construct g with grad g = inverse(sigma), tabulated once on the
     lattice base + h Z^n (h = SUBSTEPS * quad_step) over the region, and
-    f = g^{-1} by damped Newton on the table's interpolant.
+    f = g^{-1} by damped Newton on the table's interpolant.  This is the one
+    construction for every n >= 1; a 1D coefficient sigma enters as
+    MatrixBV(1, ((sigma,),)), and g is then the integral of 1/sigma from
+    the base.
 
-    Preconditions (unless config.run_checks is off): the determinant floor
-    and the angular bound hold at random probes; the inverse field passes
-    the cross-derivative symmetry check; the tables built along the two
-    polyline orders give the same g at the probes; f(g(x)) = x at the
-    probes.  Any failure raises a refusal carrying the offending report —
-    coefficients whose inverse field carries circulation across its jump
-    locus admit no single-valued potential, and the refusal is the correct
-    outcome.  A query outside the table grows it, up to TABLE_NODE_BUDGET
-    nodes; beyond that the query refuses, naming the point and the budget.
-    At the default quad_step the budget holds a region of about 14.5 units
-    per side in 2-D and 1.0 unit per side in 3-D (2896^2 and 203^3 nodes);
-    a larger region refuses while the table is built.
+    Preconditions, always checked: det sigma > DET_FLOOR and the angular
+    bound hold at N_CHECK_PROBES random probes (seed 0); the inverse field
+    passes the cross-derivative symmetry check (trivial in 1D); det sigma >
+    DET_FLOOR at every quadrature sub-step of the table; the tables built
+    along the two polyline orders give the same g at the probes; f(g(x)) = x
+    at the probes.  Any failure raises a refusal carrying the offending
+    report — coefficients whose inverse field carries circulation across its
+    jump locus admit no single-valued potential, and the refusal is the
+    correct outcome.  A query outside the table grows it, up to
+    TABLE_NODE_BUDGET nodes; beyond that the query refuses, naming the point
+    and the budget.  At the default quad_step the budget holds a region of
+    about 14.5 units per side in 2-D and 1.0 unit per side in 3-D (2896^2
+    and 203^3 nodes); a larger region refuses while the table is built, or
+    needs a coarser quad_step.
     """
+    if not quad_step > 0:
+        raise ValueError(f"quad_step must be positive, got {quad_step}")
     n = sigma.dim
     base = np.asarray(base, dtype=float).reshape(n)
     region = np.asarray(region, dtype=float).reshape(n, 2)
-    rng = np.random.default_rng(config.seed)
-    probes = region[:, 0] + rng.random((config.n_check_probes, n)) * (
+    probes = region[:, 0] + np.random.default_rng(0).random((N_CHECK_PROBES, n)) * (
         region[:, 1] - region[:, 0])
 
     mats = sigma.evaluate(probes)
+    hats = _inverse(mats, probes, "probes")
+    dist = distortion_check(sigma, probes, det_floor=DET_FLOOR)
+    if not dist["delta_admissible"]:
+        raise SolveRefusal("angular bound violated (delta <= -1)", dist)
     try:
-        hats, dets = batch_inverse(mats, config.det_floor)
+        curl = curl_check(sigma, region, CURL_EPS, CURL_SPACING, DET_FLOOR)
     except SingularMatrixError as exc:
-        raise SolveRefusal(str(exc), {"min_det": exc.det}) from exc
-    if config.run_checks:
-        if dets.min() <= config.det_floor:
-            raise SolveRefusal(
-                f"determinant {dets.min():g} at or below floor {config.det_floor:g}",
-                {"min_det": float(dets.min())})
-        dist = distortion_check(sigma, probes, det_floor=config.det_floor)
-        if not dist["delta_admissible"]:
-            raise SolveRefusal("angular bound violated (delta <= -1)", dist)
-        curl = curl_check(inverse_matrix_field(sigma, config.det_floor),
-                          region, eps=config.curl_eps, spacing=config.curl_spacing)
-        if curl["max_residual"] > config.curl_threshold:
-            raise SolveRefusal(
-                f"inverse field fails the cross-derivative symmetry check "
-                f"(residual {curl['max_residual']:.3g} > {config.curl_threshold:g}); "
-                "no single-valued potential exists at this resolution", curl)
+        raise _singular("curl check", exc.point, exc.det) from exc
+    if curl["max_residual"] > CURL_THRESHOLD:
+        raise SolveRefusal(
+            f"inverse field fails the cross-derivative symmetry check "
+            f"(residual {curl['max_residual']:.3g} > {CURL_THRESHOLD:g}); "
+            "no single-valued potential exists at this resolution", curl)
 
-    h = SUBSTEPS * config.quad_step
-    table = _PotentialTable(sigma, base, h, range(n), config.det_floor, region.T)
-
-    if config.run_checks:
-        fwd = table(probes)
-        rev = _PotentialTable(sigma, base, h, reversed(range(n)), config.det_floor,
-                              region.T)(probes)
-        dev = float(np.abs(fwd - rev).max())
-        scale = 1.0 + float(np.abs(fwd).max())
-        if dev > config.path_agreement_tol * scale:
-            raise SolveRefusal(
-                f"polyline orders disagree by {dev:.3g}: the potential is "
-                "path-dependent on this region", {"max_deviation": dev})
-
-    def f_core(ys):
-        return _newton_invert(table, sigma, ys, config)
+    h = SUBSTEPS * quad_step
+    table = _PotentialTable(sigma, base, h, range(n), region.T, "table build")
+    fwd = table(probes)
+    rev = _PotentialTable(sigma, base, h, reversed(range(n)), region.T,
+                          "reverse-order table build")(probes)
+    dev = float(np.abs(fwd - rev).max())
+    if dev > PATH_AGREEMENT_TOL * (1.0 + float(np.abs(fwd).max())):
+        raise SolveRefusal(
+            f"polyline orders disagree by {dev:.3g}: the potential is "
+            "path-dependent on this region", {"max_deviation": dev})
 
     lip_f = float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
     lip_g = float(np.linalg.svd(hats, compute_uv=False)[:, 0].max())
-
-    maps = DossMaps(n, _vectorize(table, n), _vectorize(f_core, n),
+    maps = DossMaps(n, _vectorize(table, n),
+                    _vectorize(lambda ys: _newton_invert(table, sigma, ys), n),
                     lip_f=lip_f, lip_g=lip_g, source="solved")
-    if config.run_checks:
-        round_trip = maps.f(maps.g(probes))
-        err = float(np.abs(round_trip - probes).max())
-        if err > 100 * config.inversion_tol * (1.0 + float(np.abs(probes).max())):
-            raise SolveRefusal(f"f(g(x)) deviates from x by {err:.3g} at probes",
-                               {"max_roundtrip_error": err})
+    err = float(np.abs(maps.f(maps.g(probes)) - probes).max())
+    if err > 100 * INVERSION_TOL * (1.0 + float(np.abs(probes).max())):
+        raise SolveRefusal(f"f(g(x)) deviates from x by {err:.3g} at probes",
+                           {"max_roundtrip_error": err})
     return maps
 
 

@@ -300,7 +300,7 @@ def jump_line_solution():
 
 
 def test_criterion_09_jump_line_matches(jump_line_solution):
-    # frozen: g err 4.1e-5, f err 7.4e-5 on 1000 probes off the jump loci;
+    # frozen: g err 6.5e-14, f err 6.5e-14 on 1000 probes off the jump loci;
     # the constructed potential is anchored at the base point, so the
     # closed form is compared after removing the offset g(base)
     sol = jump_line_solution

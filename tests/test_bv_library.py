@@ -9,8 +9,7 @@ from varpath.bv_library import (MatrixBV, ScalarBV, SingularMatrixError,
                                 cantor_matrix, cayley_inverse, cone_indicator,
                                 cone_matrix, constant_scalar, curl_check,
                                 distortion_check, halfplane_below_line,
-                                indicator_disk, indicator_interval,
-                                inverse_matrix_field, jump_line_matrix,
+                                indicator_disk, indicator_interval, jump_line_matrix,
                                 lipschitz_wrap, matrix_det, mollify)
 
 
@@ -108,26 +107,6 @@ def test_cayley_inverse_refuses_singular():
         cayley_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
-def test_inverse_matrix_field_pointwise():
-    sigma = jump_line_matrix(2.0)
-    inv = inverse_matrix_field(sigma)
-    for x in [np.array([0.5, 3.0]), np.array([0.5, -3.0]), np.array([-1.0, 0.3])]:
-        A = sigma.evaluate(x)
-        assert np.allclose(inv.evaluate(x) @ A, np.eye(2), atol=1e-12)
-
-
-@pytest.mark.parametrize("sigma", [cone_matrix(1.0, 2.0), jump_line_matrix(2.0)],
-                         ids=["cone(1,2)", "jump_line(2)"])
-def test_inverse_matrix_field_matches_pointwise_loop(sigma):
-    # the batched field against one cayley_inverse per point, on a grid over
-    # the square of half-width 2 that crosses the jump loci
-    axis = np.arange(-2.0, 2.0 + 1e-9, 0.05)
-    pts = np.column_stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")])
-    inv = inverse_matrix_field(sigma)
-    loop = np.array([cayley_inverse(sigma, x) for x in pts])
-    assert np.array_equal(inv.evaluate(pts), loop)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_batch_inverse_reports_the_singular_matrix(n):
     rng = np.random.default_rng(n)
@@ -137,6 +116,7 @@ def test_batch_inverse_reports_the_singular_matrix(n):
         batch_inverse(mats)
     assert info.value.det == matrix_det(mats[17])
     assert info.value.det == pytest.approx(1e-13, rel=1e-9)
+    assert info.value.index == 17
 
 
 def _leverrier(mats):
@@ -188,22 +168,21 @@ def test_mollify_smooths_jump():
 
 def test_curl_check_jump_line_symmetric():
     sigma = jump_line_matrix(2.0)
-    inv = inverse_matrix_field(sigma)
-    rep = curl_check(inv, np.array([[-1.0, 1.0], [-1.0, 1.0]]), eps=0.1, spacing=0.025)
+    rep = curl_check(sigma, np.array([[-1.0, 1.0], [-1.0, 1.0]]), eps=0.1, spacing=0.025)
     assert rep["max_residual"] < 0.5
 
 
 def test_curl_check_cone_asymmetric():
     sigma = cone_matrix(1.0, 3.0)
-    inv = inverse_matrix_field(sigma)
-    rep = curl_check(inv, np.array([[-1.0, 1.0], [-1.0, 1.0]]), eps=0.1, spacing=0.025)
+    rep = curl_check(sigma, np.array([[-1.0, 1.0], [-1.0, 1.0]]), eps=0.1, spacing=0.025)
     assert rep["max_residual"] > 0.5
 
 
-def _curl_per_entry(sigma_hat, region, eps, spacing):
-    """The curl residual with every entry of the inverse field evaluated on
-    its own, as a reference for the one-evaluation check."""
-    n = sigma_hat.dim
+def _curl_per_entry(sigma, region, eps, spacing):
+    """The curl residual with sigma inverted by one cayley_inverse per grid
+    point and every entry of the inverse mollified on its own, as a
+    reference for the one-evaluation check."""
+    n = sigma.dim
     pad = eps + 2 * spacing
     axes = [np.arange(region[k, 0] - pad, region[k, 1] + pad + spacing / 2, spacing)
             for k in range(n)]
@@ -214,9 +193,9 @@ def _curl_per_entry(sigma_hat, region, eps, spacing):
     kmesh = np.meshgrid(*([offs] * n), indexing="ij")
     kernel = _flat_profile(np.sqrt(sum(km ** 2 for km in kmesh)) / eps)
     kernel /= kernel.sum()
-    fields = {(k, j): ndimage.convolve(
-        np.asarray(sigma_hat.entries[k][j](pts)).reshape(mesh[0].shape), kernel,
-        mode="nearest") for k in range(n) for j in range(n)}
+    inv = np.array([cayley_inverse(sigma, x) for x in pts])
+    fields = {(k, j): ndimage.convolve(inv[:, k, j].reshape(mesh[0].shape), kernel,
+                                       mode="nearest") for k in range(n) for j in range(n)}
     interior = tuple(slice(rad + 1, -(rad + 1)) for _ in range(n))
     per = {}
     for k in range(n):
@@ -241,11 +220,26 @@ def test_curl_check_evaluates_once(sigma):
 
     watched = MatrixBV(2, tuple(tuple(counted(e) for e in row) for row in sigma.entries))
     region = np.array([[-2.0, 2.0], [-2.0, 2.0]])
-    rep = curl_check(inverse_matrix_field(watched), region, eps=0.12, spacing=0.03)
+    rep = curl_check(watched, region, eps=0.12, spacing=0.03)
     assert len(calls) == 4  # sigma evaluated once over the grid: one call per entry
-    worst, per = _curl_per_entry(inverse_matrix_field(sigma), region, 0.12, 0.03)
+    worst, per = _curl_per_entry(sigma, region, 0.12, 0.03)
     assert rep["max_residual"] == worst
     assert rep["per_component"] == per
+
+
+def test_curl_check_is_trivial_in_1d():
+    # no cross derivative exists in 1D: the residual is 0 and sigma is never
+    # evaluated, even where it would be singular
+    calls = []
+
+    def ev(pts):
+        calls.append(len(pts))
+        return np.zeros(len(pts))
+
+    sigma = MatrixBV(1, ((ScalarBV(1, ev, None),),))
+    rep = curl_check(sigma, np.array([[0.01, 4.0]]), eps=0.12, spacing=0.03)
+    assert rep == {"max_residual": 0.0, "per_component": {}}
+    assert calls == []
 
 
 def test_distortion_check_identity_like():

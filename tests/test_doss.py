@@ -3,10 +3,9 @@ import pytest
 
 from varpath.bv_library import (MatrixBV, ScalarBV, cantor_matrix, cone_matrix,
                                 constant_scalar, jump_line_matrix)
-from varpath.doss import (BVGradientMap, DossMaps, SolveConfig, SolveRefusal,
-                          build_solution, change_of_variable_check,
-                          closed_form_maps, residual, solve_nd, solve_scalar,
-                          uniqueness_check)
+from varpath.doss import (BVGradientMap, DossMaps, SolveRefusal, build_solution,
+                          change_of_variable_check, closed_form_maps, residual,
+                          solve_nd, uniqueness_check)
 from varpath.grid_paths import SampledPath, TimeGrid, make_fbm
 from varpath.measures import DiscreteMeasure
 
@@ -23,13 +22,19 @@ def smooth_driver(grid, dim=2):
     return SampledPath(grid, dim, np.column_stack(cols))
 
 
+def scalar_matrix(fn):
+    """A 1D coefficient as the 1x1 matrix coefficient solve_nd takes."""
+    return MatrixBV(1, ((scalar_coeff(fn),),))
+
+
 # ---------------------------------------------------------------------------
-# scalar construction
+# scalar construction: solve_nd on the 1x1 coefficient, based at 0 where 0
+# lies in the domain and at the lower end otherwise
 # ---------------------------------------------------------------------------
 
 def test_solve_scalar_constant_coefficient():
-    sigma = scalar_coeff(lambda p: np.full(len(p), 2.0))
-    maps = solve_scalar(sigma, (-1.0, 1.0))
+    sigma = scalar_matrix(lambda p: np.full(len(p), 2.0))
+    maps = solve_nd(sigma, [0.0], [(-1.0, 1.0)])
     # g(x) = x/2, f(y) = 2y
     xs = np.linspace(-1, 1, 11)[:, None]
     assert np.allclose(maps.g(xs)[:, 0], xs[:, 0] / 2, atol=1e-10)
@@ -38,9 +43,9 @@ def test_solve_scalar_constant_coefficient():
 
 def test_solve_scalar_sqrt_coefficient_monotone():
     # sigma(x) = sqrt(x) on (0, 4): g(x) = 2 sqrt(x) - 2 sqrt(lo), strictly
-    # increasing; frozen oracle: max error vs closed form 0.009 on [0.01, 4]
-    sigma = scalar_coeff(lambda p: np.sqrt(np.maximum(p[:, 0], 0.0)))
-    maps = solve_scalar(sigma, (0.01, 4.0))
+    # increasing; frozen oracle: max error vs closed form 5.2e-6 on [0.01, 4]
+    sigma = scalar_matrix(lambda p: np.sqrt(np.maximum(p[:, 0], 0.0)))
+    maps = solve_nd(sigma, [0.01], [(0.01, 4.0)])
     xs = np.linspace(0.02, 4.0, 200)
     g = maps.g(xs[:, None])[:, 0]
     assert np.all(np.diff(g) > 0)
@@ -49,9 +54,28 @@ def test_solve_scalar_sqrt_coefficient_monotone():
 
 
 def test_solve_scalar_refuses_vanishing_coefficient():
-    sigma = scalar_coeff(lambda p: p[:, 0])  # vanishes at 0
+    sigma = scalar_matrix(lambda p: p[:, 0])  # vanishes at 0
     with pytest.raises(SolveRefusal):
-        solve_scalar(sigma, (-1.0, 1.0))
+        solve_nd(sigma, [0.0], [(-1.0, 1.0)])
+
+
+def _strip(dim, inside, outside, lo, hi):
+    """A coefficient entry equal to ``inside`` for lo < x1 < hi and to
+    ``outside`` elsewhere."""
+    return scalar_coeff(lambda p: np.where((p[:, 0] > lo) & (p[:, 0] < hi),
+                                           inside, outside), dim=dim)
+
+
+def test_solve_scalar_refuses_a_sign_change_between_probes():
+    # sigma = -1 on an interval of width 2e-3 that no probe hits (the
+    # nearest is 0.022 away; one lies inside |x - 0.3001| < 1e-3): the
+    # table's per-sub-step check refuses where the sign change would fold g
+    sigma = MatrixBV(1, ((_strip(1, -1.0, 1.0, 0.3991, 0.4011),),))
+    with pytest.raises(SolveRefusal) as exc:
+        solve_nd(sigma, [0.0], [(-1.0, 1.0)])
+    rep = exc.value.report
+    assert rep["stage"] == "table build"
+    assert abs(rep["point"][0] - 0.4001) < 1e-3 and rep["min_det"] == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +109,7 @@ def test_closed_form_cone_right_inverse_on_range():
 
 
 def test_solve_nd_matches_closed_form_jump_line():
-    # frozen oracle: g error 4.1e-5 and f error 7.4e-5 at probes off the
+    # frozen oracle: g error 6.5e-14 and f error 6.5e-14 at probes off the
     # loci, after removing the anchoring offset g(base)
     sigma = jump_line_matrix(2.0)
     base = np.array([-3.0, -3.0])
@@ -115,10 +139,42 @@ def test_solve_nd_refuses_cone():
 
 
 def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(table_points=2)
-    with pytest.raises(ValueError):
-        SolveConfig(det_floor=0.0)
+    sigma = jump_line_matrix(2.0)
+    for step in (0.0, -5e-4, float("nan")):
+        with pytest.raises(ValueError, match="quad_step"):
+            solve_nd(sigma, [0.0, 0.0], [(-1.0, 1.0)] * 2, quad_step=step)
+
+
+def test_solve_nd_refuses_a_singular_strip():
+    # sigma_11 = 0 on a strip of width 2e-3: the probes and the curl grid
+    # miss it, and the table's sub-steps refuse instead of raising a
+    # singular-matrix error
+    one, zero = (constant_scalar(v, 2) for v in (1.0, 0.0))
+    sigma = MatrixBV(2, ((_strip(2, 0.0, 1.0, 0.2991, 0.3011), zero), (zero, one)))
+    with pytest.raises(SolveRefusal, match="det sigma") as exc:
+        solve_nd(sigma, [-1.0, -1.0], [(-1.0, 1.0)] * 2)
+    rep = exc.value.report
+    assert rep["stage"] == "table build"
+    assert abs(rep["point"][0] - 0.3001) < 1e-3 and rep["min_det"] == 0.0
+
+
+def test_solve_nd_refuses_singular_sigma_beyond_the_region():
+    # sigma_11 = 0 for x1 > edge: on the curl check's padded grid (which
+    # reaches 0.18 past the region), and on a table grown by a g query
+    one, zero = (constant_scalar(v, 2) for v in (1.0, 0.0))
+
+    def sigma(edge):
+        return MatrixBV(2, ((_strip(2, 0.0, 1.0, edge, np.inf), zero), (zero, one)))
+
+    with pytest.raises(SolveRefusal) as exc:
+        solve_nd(sigma(1.1), [-1.0, -1.0], [(-1.0, 1.0)] * 2)
+    assert exc.value.report["stage"] == "curl check"
+    assert exc.value.report["point"][0] > 1.1
+    sol = solve_nd(sigma(1.5), [-1.0, -1.0], [(-1.0, 1.0)] * 2)
+    with pytest.raises(SolveRefusal) as exc:
+        sol.g(np.array([[1.8, 0.0]]))
+    assert exc.value.report["stage"] == "g query"
+    assert exc.value.report["point"][0] > 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +356,7 @@ def test_solve_nd_constant_coefficient_3d():
                               for j in range(3)))
     base = np.array([-0.2, 0.1, 0.0])
     region = np.array([[-0.5, 0.5]] * 3)
-    sol = solve_nd(sigma, base, region, SolveConfig(quad_step=5e-3))
+    sol = solve_nd(sigma, base, region, quad_step=5e-3)
     rng = np.random.default_rng(11)
     xs = rng.uniform(-0.5, 0.5, (300, 3))
     expect = (xs - base) @ np.linalg.inv(A).T

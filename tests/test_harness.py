@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,3 +194,16 @@ def test_cli_bad_config_exits_2(tmp_path):
 def test_cli_validate(tmp_path):
     r = run_cli(["validate", "--out-dir", str(tmp_path)], cwd=str(tmp_path))
     assert r.returncode == EXIT_OK, r.stderr
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(script):
+    # a library name a script imports but the package no longer has fails
+    # here; the scripts' main() runs only under their __main__ guard
+    spec = importlib.util.spec_from_file_location(script.stem, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
