@@ -186,6 +186,8 @@ class _PotentialTable:
 
     def cover(self, x: np.ndarray, stage: str) -> None:
         """Build or grow the box until it holds every point of x."""
+        if not len(x):
+            return
         t = self._index(x)
         lo = np.minimum(self.lo, np.floor(t.min(axis=0)))
         hi = np.maximum(np.maximum(self.hi, np.ceil(t.max(axis=0))), lo + 1)

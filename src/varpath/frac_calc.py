@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gamma as Gamma
 
 import numpy as np
-from scipy.signal import convolve
 
 from .gridfun import GridFunction, gagliardo_pth_power
 
@@ -33,6 +32,8 @@ class FracParams:
 
 def _conv(a: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Linear convolution truncated to len(a) leading entries."""
+    from scipy.signal import convolve  # loaded here: it pulls in most of scipy
+
     return convolve(a, kern, method="auto")[: len(a)]
 
 

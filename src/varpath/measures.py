@@ -4,15 +4,23 @@ All kernels use the convention k_gamma(x) = max(|x|, h)^(gamma - n) with the
 normalizing constant fixed to 1; h >= 0 is a cap radius tied to the
 discretization scale of the measure.  Growth of capped potentials as h -> 0
 is the divergence signal used by the variability classifier.
+
+The capped-potential engine, riesz_potential_many, splits its query points
+into distance blocks of a fixed size and evaluates them on a shared thread
+pool with one worker per usable CPU.  Block boundaries do not depend on the
+worker count and every block writes only its own entries, so the results
+are bit-identical for any number of threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -24,6 +32,35 @@ INF_SENTINEL = np.inf
 #: query-atom pairs per distance block of riesz_potential_many: 2 MiB of
 #: doubles, so a block and its kernel values stay in cache
 KERNEL_BLOCK_PAIRS = 2 ** 18
+
+
+# threads that evaluate distance blocks: one per CPU this process may run on
+try:
+    KERNEL_WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity masks on this platform
+    KERNEL_WORKERS = os.cpu_count() or 1
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _kernel_pool() -> ThreadPoolExecutor:
+    """The block pool, created on first use and shared by every caller."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(KERNEL_WORKERS, thread_name_prefix="varpath-kernel")
+        return _pool
+
+
+def _drop_pool() -> None:
+    """A forked child inherits the pool object but none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @dataclass(frozen=True)
@@ -117,6 +154,12 @@ def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndar
     evaluated on the same block of pairwise distances.  One order raises
     the block to its power; several take the log of the block once and one
     exp per order.
+
+    A block holds KERNEL_BLOCK_PAIRS // n_atoms query rows.  With two or
+    more blocks, they run on the shared pool of KERNEL_WORKERS threads
+    (numpy and cdist release the interpreter lock); each block writes only
+    its own columns of the result, with the same operations as inline, so
+    the result does not depend on the number of threads.
     """
     policies = [policy] if isinstance(policy, KernelPolicy) else list(policy)
     for pol in policies:
@@ -129,17 +172,26 @@ def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndar
     if mu.n_atoms:
         expo = [pol.gamma - mu.dim for pol in policies]
         chunk = max(1, KERNEL_BLOCK_PAIRS // mu.n_atoms)
-        with np.errstate(divide="ignore"):  # h = 0 on an atom: the +inf sentinel
-            for lo in range(0, len(xs), chunk):
+
+        def block(lo):
+            # numpy and scipy only: a worker thread never calls into varpath
+            with np.errstate(divide="ignore"):  # h = 0 on an atom: the +inf sentinel
                 d = cdist(xs[lo:lo + chunk], mu.locations)
                 np.maximum(d, h, out=d)
                 if len(expo) == 1:
                     out[0, lo:lo + chunk] = np.power(d, expo[0], out=d) @ mu.weights
-                    continue
+                    return
                 logd = np.log(d, out=d)
                 k = np.empty_like(logd)
                 for j, e in enumerate(expo):
                     out[j, lo:lo + chunk] = np.exp(np.multiply(logd, e, out=k), out=k) @ mu.weights
+
+        starts = range(0, len(xs), chunk)
+        if len(starts) > 1 and KERNEL_WORKERS > 1:
+            list(_kernel_pool().map(block, starts))  # re-raises a block's error
+        else:
+            for lo in starts:
+                block(lo)
     return out[0] if isinstance(policy, KernelPolicy) else out
 
 
@@ -239,6 +291,8 @@ def _riesz_convolution_raw(gamma1: float, gamma2: float, y: float,
                            half_width: float) -> float:
     """1D quadrature of int |x|^(g1-1) |x-y|^(g2-1) dx over [-R, R+y],
     splitting at the two singular points."""
+    from scipy import integrate  # loaded here: it pulls in most of scipy
+
     def integrand(x):
         return np.abs(x) ** (gamma1 - 1.0) * np.abs(x - y) ** (gamma2 - 1.0)
 

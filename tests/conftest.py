@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -27,3 +30,36 @@ def rng():
 @pytest.fixture
 def small_grid():
     return TimeGrid(1.0, 256)
+
+
+@pytest.fixture
+def kernel_workers(monkeypatch):
+    """``run(workers, fn)`` calls fn on a fresh kernel pool of the given size
+    and returns fn's result and the names of the threads that computed
+    distance blocks.  The interpreter's switch interval is shortened
+    meanwhile, so threads interleave as often as they can."""
+    from varpath import measures
+
+    real_cdist = measures.cdist
+    interval = sys.getswitchinterval()
+
+    def run(workers, fn):
+        threads = set()
+
+        def cdist(*args):
+            threads.add(threading.current_thread().name)
+            return real_cdist(*args)
+
+        monkeypatch.setattr(measures, "KERNEL_WORKERS", workers)
+        monkeypatch.setattr(measures, "_pool", None)
+        monkeypatch.setattr(measures, "cdist", cdist)
+        sys.setswitchinterval(1e-5)
+        try:
+            return fn(), threads
+        finally:
+            sys.setswitchinterval(interval)
+            if measures._pool is not None:
+                measures._pool.shutdown()
+            monkeypatch.undo()
+
+    return run

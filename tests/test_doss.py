@@ -363,6 +363,9 @@ def test_solve_nd_constant_coefficient_3d():
     assert np.max(np.abs(sol.g(xs) - expect)) < 1e-12
     ys = rng.uniform(-0.2, 0.2, (300, 3))
     assert np.max(np.abs(sol.f(ys) - (base + ys @ A.T))) < 1e-9
+    # an empty batch maps to an empty batch
+    assert sol.g(np.zeros((0, 3))).shape == (0, 3)
+    assert sol.f(np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_solve_nd_refuses_a_region_beyond_the_node_budget():

@@ -1,7 +1,14 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from varpath import measures
 from varpath.bv_library import cantor_level_atoms
 from varpath.grid_paths import TimeGrid, make_constant_path, make_fbm, make_linear_path
 from varpath.measures import (DiscreteMeasure, KernelPolicy,
@@ -84,6 +91,68 @@ def test_potential_many_matches_scalar(rng):
         riesz_potential_many(mu, [pol, KernelPolicy(gamma=0.6, cap_radius=0.05)], xs)
 
 
+def _kernel_cases(rng):
+    """A measure, queries and policies whose calls split into several
+    distance blocks (3000 atoms: 87 query rows per block, 5 blocks), with
+    one order and several, h > 0 and h = 0 with a query on an atom."""
+    mu = unit_atoms(rng, 3000)
+    xs = rng.uniform(-1, 1, (400, 2))
+    xs[250] = mu.locations[17]
+    pols = [KernelPolicy(0.6, 0.02), KernelPolicy(0.6, 0.0)]
+    pols += [[KernelPolicy(g, h) for g in (0.2, 0.6, 1.3)] for h in (0.02, 0.0)]
+    return mu, xs, pols
+
+
+def test_potential_many_does_not_depend_on_the_thread_count(rng, kernel_workers):
+    mu, xs, pols = _kernel_cases(rng)
+
+    def calls():
+        return [riesz_potential_many(mu, pol, xs) for pol in pols]
+
+    def concurrent_calls():
+        # two callers share the pool while it is created and used
+        results = [None, None]
+
+        def call(i):
+            results[i] = calls()
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+        return results
+
+    serial, serial_threads = kernel_workers(1, calls)
+    pooled, pooled_threads = kernel_workers(3, concurrent_calls)
+    assert serial_threads == {threading.current_thread().name}
+    assert pooled_threads and all(t.startswith("varpath-kernel") for t in pooled_threads)
+    for result in pooled:
+        for a, b in zip(serial, result):
+            assert np.array_equal(a, b)
+    assert np.isinf(serial[1][250]) and np.isinf(serial[3][:, 250]).all()
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_potential_many_in_a_forked_child(rng):
+    # the child inherits the parent's pool object but not its threads; it
+    # must start its own pool instead of waiting on the inherited one
+    mu, xs, pols = _kernel_cases(rng)
+    expect = riesz_potential_many(mu, pols[0], xs)
+    assert measures.KERNEL_WORKERS == 1 or measures._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(riesz_potential_many(mu, pols[0], xs)))
+    child.start()
+    answered = recv.poll(60)
+    if not answered:
+        child.kill()
+    child.join(timeout=60)
+    assert answered and child.exitcode == 0
+    assert np.array_equal(recv.recv(), expect)
+
+
 def test_fractional_maximal_single_atom():
     mu = DiscreteMeasure(1, np.array([[0.0]]), np.array([1.0]))
     # sup_r r^(gamma-1) mu(B(x,r)) at x = 0.5 is attained at r = 0.5
@@ -125,6 +194,18 @@ def test_csv_roundtrip(tmp_path, rng):
     back = measure_from_csv(str(fn))
     assert np.allclose(back.locations, mu.locations)
     assert np.allclose(back.weights, mu.weights)
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.integrate and scipy.signal load only when a function needs them
+    code = ("import sys, varpath; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules))")
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(measures.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [pkg_parent] + [e for e in os.environ.get("PYTHONPATH", "").split(os.pathsep) if e]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_negative_weights_rejected():

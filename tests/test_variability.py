@@ -82,6 +82,24 @@ def test_classify_sweep_matches_classify():
         assert rep.s == s
 
 
+def test_classify_sweep_does_not_depend_on_the_thread_count(kernel_workers):
+    # a criterion 6 input: the level-8 Cantor measure has 68,224 atoms, so
+    # the 513 path points split into blocks of 3 rows (level 4 is one block,
+    # computed inline)
+    path = make_fbm(0.7, 2, GRID, seed=4)
+    phi = cantor_coefficient(2)
+    base = VariabilityParams(s=0.5, p=1.0, levels=(4, 6, 8))
+    s_values = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+
+    def sweep():
+        return [r.to_dict() for r in classify_sweep(path, phi, s_values, base)]
+
+    serial, _ = kernel_workers(1, sweep)
+    pooled, threads = kernel_workers(3, sweep)
+    assert any(t.startswith("varpath-kernel") for t in threads)
+    assert pooled == serial
+
+
 def test_require_finite_raises_with_report():
     path = make_fbm(0.7, 2, GRID, seed=1)
     with pytest.raises(VariabilityRefusal) as exc:
