@@ -18,8 +18,7 @@ Everything is deterministic given an integer seed.
 """
 
 from .grid_paths import (TimeGrid, SampledPath, make_fbm, make_power_path,
-                         make_linear_path, make_constant_path, estimate_holder,
-                         apply_map)
+                         make_linear_path, make_constant_path, estimate_holder)
 from .gridfun import GridFunction
 from .measures import (DiscreteMeasure, KernelPolicy, occupation_measure,
                        riesz_potential, riesz_potential_many, mutual_energy,
@@ -31,9 +30,8 @@ from .bv_library import (ScalarBV, MatrixBV, constant_scalar, cantor_coefficient
 from .variability import (VariabilityParams, VariabilityReport,
                           VariabilityRefusal, classify, require_finite,
                           compose, fbm_energy_bound)
-from .frac_calc import (FracParams, rl_integral_left, rl_integral_right,
-                        wm_derivative_left, wm_derivative_right_adjusted,
-                        norm_W0, norm_WT)
+from .frac_calc import (rl_integral_left, rl_integral_right, wm_derivative_left,
+                        wm_derivative_right_adjusted, norm_W0, norm_WT)
 from .gls_integral import (NormOverflowError, gls_integrate,
                            gls_integrate_series, riemann_sum, rate_study)
 from .doss import (DossMaps, SolveRefusal, solve_nd, closed_form_maps,

@@ -1,17 +1,17 @@
 """A library of bounded-variation coefficients.
 
 Each coefficient is a pointwise evaluator (a fixed Lebesgue representative,
-valued at the average of one-sided limits on jump loci) together with a
-generator of discrete approximations of its gradient total-variation
-measure.  The resolution convention is uniform across the library: at
-integer ``level`` the measure resolves spatial scale ``2**-level``, which is
-also the cap radius the variability classifier uses at that level.
+valued at the average of one-sided limits on jump loci), a generator of
+discrete approximations of its gradient total-variation measure, and an
+optional sup bound: all that phi(X), its integral and the Doss transform
+read.  At integer ``level`` the measure resolves spatial scale
+``2**-level``, which is also the classifier's cap radius at that level.
 
 Included: the Cantor staircase coefficient, indicator coefficients
-(interval, disk, half-plane, cone), Lipschitz wrappers, piecewise-constant
-matrix coefficients with explicit inverses, mollification by a flat bump,
-and structural checks (curl residual of the inverse field,
-distortion/angular constants).
+(interval, disk, half-plane, cone), ``lipschitz_wrap(f, dim)``,
+piecewise-constant matrix coefficients (jump line, cone, Cantor shear),
+mollification by a flat bump, and structural checks (curl residual of the
+inverse field, distortion/angular constants).
 
 Every matrix inverse and determinant in the package comes from one batched
 routine, ``batch_inverse``, which inverts a stack (m, n, n) in one pass (the
@@ -31,6 +31,7 @@ from scipy import ndimage
 from .measures import DiscreteMeasure
 
 LOG2_OVER_LOG3 = np.log(2.0) / np.log(3.0)  # Cantor measure dimension
+LIPSCHITZ_CELLS = 256  # most cells per box side in lipschitz_wrap's measure
 
 
 def level_scale(level: int) -> float:
@@ -170,7 +171,6 @@ class ScalarBV:
     evaluate: Callable[[np.ndarray], np.ndarray]
     gradient_measure: Optional[Callable[[np.ndarray, int], DiscreteMeasure]] = None
     sup_bound: Optional[float] = None
-    jump_locus: Optional[str] = None
     name: str = ""
 
     def scale(self, level: int) -> float:
@@ -189,11 +189,7 @@ class MatrixBV:
 
     dim: int
     entries: tuple  # tuple of tuples of ScalarBV, shape (dim, dim)
-    det_lower_bound: Optional[float] = None
     name: str = ""
-
-    def entry(self, j: int, k: int) -> ScalarBV:
-        return self.entries[j][k]
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Matrix values at points (m, dim) -> (m, dim, dim)."""
@@ -260,8 +256,7 @@ def cantor_coefficient(dim: int) -> ScalarBV:
         w = wmesh.ravel() * float(np.prod(lateral_widths))
         return DiscreteMeasure(dim, loc, w)
 
-    return ScalarBV(dim, ev, grad, sup_bound=1.0,
-                    jump_locus=None, name="cantor")
+    return ScalarBV(dim, ev, grad, sup_bound=1.0, name="cantor")
 
 
 def indicator_interval(a: float, b: float) -> ScalarBV:
@@ -284,8 +279,7 @@ def indicator_interval(a: float, b: float) -> ScalarBV:
                 ws.append(1.0)
         return DiscreteMeasure(1, np.asarray(locs).reshape(-1, 1), np.asarray(ws))
 
-    return ScalarBV(1, ev, grad, sup_bound=1.0,
-                    jump_locus=f"points {{{a}, {b}}}", name="indicator_interval")
+    return ScalarBV(1, ev, grad, sup_bound=1.0, name="indicator_interval")
 
 
 def indicator_disk(center, radius: float) -> ScalarBV:
@@ -312,9 +306,7 @@ def indicator_disk(center, radius: float) -> ScalarBV:
         keep = np.all((loc >= box[:, 0][None, :]) & (loc <= box[:, 1][None, :]), axis=1)
         return DiscreteMeasure(2, loc[keep], w[keep])
 
-    return ScalarBV(2, ev, grad, sup_bound=1.0,
-                    jump_locus=f"circle(center={tuple(center)}, r={radius})",
-                    name="indicator_disk")
+    return ScalarBV(2, ev, grad, sup_bound=1.0, name="indicator_disk")
 
 
 def _segment_measure(p0: np.ndarray, p1: np.ndarray, box: np.ndarray, level: int,
@@ -362,8 +354,7 @@ def halfplane_below_line(c: float) -> ScalarBV:
         p1 = np.array([span, c * span])
         return _segment_measure(p0, p1, box, level, density=1.0, dim=2)
 
-    return ScalarBV(2, ev, grad, sup_bound=1.0,
-                    jump_locus=f"line x2 = {c}*x1", name=f"halfplane(c={c})")
+    return ScalarBV(2, ev, grad, sup_bound=1.0, name=f"halfplane(c={c})")
 
 
 def jump_line_matrix(c: float) -> MatrixBV:
@@ -375,7 +366,7 @@ def jump_line_matrix(c: float) -> MatrixBV:
         (constant_scalar(c, 2), constant_scalar(1.0, 2)),
         (halfplane_below_line(c), constant_scalar(c, 2)),
     )
-    return MatrixBV(2, e, det_lower_bound=c * c - 1.0, name=f"jump_line(c={c})")
+    return MatrixBV(2, e, name=f"jump_line(c={c})")
 
 
 def cone_indicator(a: float, b: float) -> ScalarBV:
@@ -403,9 +394,7 @@ def cone_indicator(a: float, b: float) -> ScalarBV:
         w = np.concatenate([p.weights for p in parts])
         return DiscreteMeasure(2, loc, w)
 
-    return ScalarBV(2, ev, grad, sup_bound=1.0,
-                    jump_locus=f"rays x2 = {a / b}*x1 and x2 = {b / a}*x1 (x1 > 0)",
-                    name=f"cone({a},{b})")
+    return ScalarBV(2, ev, grad, sup_bound=1.0, name=f"cone({a},{b})")
 
 
 def cone_matrix(a: float, b: float) -> MatrixBV:
@@ -422,13 +411,12 @@ def cone_matrix(a: float, b: float) -> MatrixBV:
         mu = ind.gradient_measure(box, level)
         return DiscreteMeasure(2, mu.locations, a * mu.weights)
 
-    off = ScalarBV(2, scaled_ev, scaled_grad, sup_bound=a,
-                   jump_locus=ind.jump_locus, name=f"a*cone({a},{b})")
+    off = ScalarBV(2, scaled_ev, scaled_grad, sup_bound=a, name=f"a*cone({a},{b})")
     e = (
         (constant_scalar(b, 2), off),
         (off, constant_scalar(b, 2)),
     )
-    return MatrixBV(2, e, det_lower_bound=b * b - a * a, name=f"cone({a},{b})")
+    return MatrixBV(2, e, name=f"cone({a},{b})")
 
 
 def halfplane_x1_positive() -> ScalarBV:
@@ -446,8 +434,7 @@ def halfplane_x1_positive() -> ScalarBV:
         return _segment_measure(np.array([0.0, -span]), np.array([0.0, span]),
                                 box, level, density=1.0, dim=2)
 
-    return ScalarBV(2, ev, grad, sup_bound=1.0, jump_locus="line x1 = 0",
-                    name="halfplane_x1")
+    return ScalarBV(2, ev, grad, sup_bound=1.0, name="halfplane_x1")
 
 
 def cantor_shear_entry22() -> ScalarBV:
@@ -492,25 +479,19 @@ def cantor_matrix() -> MatrixBV:
         (constant_scalar(1.0, 2), constant_scalar(0.0, 2)),
         (halfplane_x1_positive(), cantor_shear_entry22()),
     )
-    return MatrixBV(2, e, det_lower_bound=1.0, name="cantor_shear")
+    return MatrixBV(2, e, name="cantor_shear")
 
 
-def lipschitz_wrap(f: Callable, L: float, dim: int,
-                   grad_norm: Optional[Callable] = None,
-                   max_cells_per_axis: int = 256) -> ScalarBV:
-    """Wrap a smooth scalar map with Lipschitz constant L; gradient measure
-    = |grad f| times volume, discretized on a cell grid (cell volume times
-    the gradient magnitude at the center)."""
+def lipschitz_wrap(f: Callable, dim: int) -> ScalarBV:
+    """Wrap a smooth scalar map on R^dim; gradient measure = |grad f| times
+    volume, discretized on a cell grid (cell volume times the central-
+    difference gradient magnitude at the center)."""
 
     def ev(pts):
         pts = np.atleast_2d(pts)
         return np.asarray(f(pts), dtype=float)
 
     def gnorm(pts):
-        if grad_norm is not None:
-            return np.asarray(grad_norm(pts), dtype=float)
-        # central differences
-        pts = np.atleast_2d(pts)
         eps = 1e-6
         acc = np.zeros(len(pts))
         for k in range(dim):
@@ -523,7 +504,7 @@ def lipschitz_wrap(f: Callable, L: float, dim: int,
         box = np.asarray(box, dtype=float).reshape(dim, 2)
         axes, widths = [], []
         for k in range(dim):
-            spacing = max(level_scale(level), (box[k, 1] - box[k, 0]) / max_cells_per_axis)
+            spacing = max(level_scale(level), (box[k, 1] - box[k, 0]) / LIPSCHITZ_CELLS)
             cs, w = _lateral_grid(box[k, 0], box[k, 1], spacing)
             axes.append(cs)
             widths.append(w)
@@ -553,7 +534,7 @@ def _flat_profile(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mollifier_nodes(dim: int, n_1d: int = 32) -> tuple[np.ndarray, np.ndarray]:
+def _mollifier_nodes(dim: int, n_1d: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights for the unit-radius flat mollifier,
     normalized to unit mass; tensor midpoint rule on [-1,1]^dim."""
     centers, w = _lateral_grid(-1.0, 1.0, 2.0 / n_1d)
@@ -566,15 +547,15 @@ def _mollifier_nodes(dim: int, n_1d: int = 32) -> tuple[np.ndarray, np.ndarray]:
     return pts, vals / vals.sum()
 
 
-def mollify(phi: ScalarBV, eps: float, n_nodes_1d: int = 32) -> ScalarBV:
+def mollify(phi: ScalarBV, eps: float) -> ScalarBV:
     """Convolve a coefficient with the flat mollifier at radius eps.
 
-    Evaluation is quadrature of phi against the bump; the gradient measure
-    spreads each atom of the base measure over the bump stencil.
+    Evaluation is quadrature of phi against the bump (32 nodes per axis);
+    the gradient measure spreads each atom over a 5-per-axis stencil.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    nodes, nw = _mollifier_nodes(phi.dim, n_nodes_1d)
+    nodes, nw = _mollifier_nodes(phi.dim, 32)
     offsets = eps * nodes
 
     def ev(pts):
@@ -597,7 +578,7 @@ def mollify(phi: ScalarBV, eps: float, n_nodes_1d: int = 32) -> ScalarBV:
         return DiscreteMeasure(phi.dim, locs, ws)
 
     return ScalarBV(phi.dim, ev, grad, sup_bound=phi.sup_bound,
-                    jump_locus=None, name=f"mollified({phi.name}, {eps})")
+                    name=f"mollified({phi.name}, {eps})")
 
 
 # ---------------------------------------------------------------------------

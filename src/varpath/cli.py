@@ -84,12 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_mesh(spec: str) -> list:
     """'2^8..2^13' -> [256, 512, ..., 8192]; plain comma lists also accepted."""
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        lo_e = int(lo.split("^")[1]) if "^" in lo else int(lo).bit_length() - 1
-        hi_e = int(hi.split("^")[1]) if "^" in hi else int(hi).bit_length() - 1
-        return [2 ** k for k in range(lo_e, hi_e + 1)]
-    return [int(tok) for tok in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            lo_e = int(lo.split("^")[1]) if "^" in lo else int(lo).bit_length() - 1
+            hi_e = int(hi.split("^")[1]) if "^" in hi else int(hi).bit_length() - 1
+            return [2 ** k for k in range(lo_e, hi_e + 1)]
+        return [int(tok) for tok in spec.split(",")]
+    except (ValueError, IndexError):
+        raise ConfigError(f"--mesh (config field 'meshes') must be like 2^8..2^13, got {spec!r}")
 
 
 def _build_config(args: argparse.Namespace) -> dict:
@@ -113,7 +116,10 @@ def _build_config(args: argparse.Namespace) -> dict:
     if getattr(args, "mesh", None):
         config["meshes"] = _parse_mesh(args.mesh)
     if getattr(args, "x0", None):
-        config["x0"] = [float(tok) for tok in args.x0.split(",")]
+        try:
+            config["x0"] = [float(tok) for tok in args.x0.split(",")]
+        except ValueError:
+            raise ConfigError(f"--x0 (config field 'x0') must list numbers, got {args.x0!r}")
     # solve/variability default path kind: fbm driver
     if args.subcommand in ("variability", "integrate", "solve") and "path" not in config:
         config["path"] = "fbm"

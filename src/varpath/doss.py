@@ -55,7 +55,6 @@ class DossMaps:
     f: Callable[[np.ndarray], np.ndarray]
     lip_f: float
     lip_g: float
-    source: str
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -332,7 +331,7 @@ def solve_nd(sigma: MatrixBV, base, region, *, quad_step: float = 5e-4) -> DossM
     lip_g = float(np.linalg.svd(hats, compute_uv=False)[:, 0].max())
     maps = DossMaps(n, _vectorize(table, n),
                     _vectorize(lambda ys: _newton_invert(table, sigma, ys), n),
-                    lip_f=lip_f, lip_g=lip_g, source="solved")
+                    lip_f=lip_f, lip_g=lip_g)
     err = float(np.abs(maps.f(maps.g(probes)) - probes).max())
     if err > 100 * INVERSION_TOL * (1.0 + float(np.abs(probes).max())):
         raise SolveRefusal(f"f(g(x)) deviates from x by {err:.3g} at probes",
@@ -379,8 +378,7 @@ def closed_form_maps(name: str, **params) -> DossMaps:
         lip_f = max(np.linalg.norm(B, 2) for B in branches)
         lip_g = max(np.linalg.norm(np.linalg.inv(B), 2) for B in branches)
         return DossMaps(2, _vectorize(g_core, 2), _vectorize(f_core, 2),
-                        lip_f=float(lip_f), lip_g=float(lip_g),
-                        source="closed_form(jump_line)")
+                        lip_f=float(lip_f), lip_g=float(lip_g))
 
     if name == "cone":
         a, b = float(params["a"]), float(params["b"])
@@ -405,8 +403,7 @@ def closed_form_maps(name: str, **params) -> DossMaps:
         lip_f = np.linalg.norm(M, 2)
         lip_g = max(np.linalg.norm(np.linalg.inv(M), 2), 1.0 / b)
         return DossMaps(2, _vectorize(g_core, 2), _vectorize(f_core, 2),
-                        lip_f=float(lip_f), lip_g=float(lip_g),
-                        source="closed_form(cone)")
+                        lip_f=float(lip_f), lip_g=float(lip_g))
 
     if name == "cantor_shear":
 
@@ -426,8 +423,7 @@ def closed_form_maps(name: str, **params) -> DossMaps:
         lip_g = max(np.linalg.norm(np.linalg.inv(np.array([[1.0, 0.0], [q, s]])), 2)
                     for q in (0.0, 1.0) for s in (1.0, 2.0))
         return DossMaps(2, _vectorize(g_core, 2), _vectorize(f_core, 2),
-                        lip_f=float(lip_f), lip_g=float(lip_g),
-                        source="closed_form(cantor_shear)")
+                        lip_f=float(lip_f), lip_g=float(lip_g))
 
     raise ValueError(f"unknown closed-form family {name!r}")
 
@@ -453,9 +449,7 @@ def build_solution(maps: DossMaps, Y: SampledPath, x0) -> SampledPath:
         raise SolveRefusal(
             f"starting point is not reproduced (error {start_err:.3g}); "
             "x0 may lie outside the map's range", {"start_error": start_err})
-    meta = dict(Y.meta)
-    meta.update({"construction": "doss", "maps": maps.source})
-    return SampledPath(Y.grid, maps.dim, X, holder_hint=Y.holder_hint, meta=meta)
+    return SampledPath(Y.grid, maps.dim, X)
 
 
 def _checkpoint_indices(N: int, n_checkpoints: Optional[int]) -> np.ndarray:
@@ -474,8 +468,7 @@ def _subsampled(path: SampledPath, max_points: int = 512) -> SampledPath:
     if step == 1:
         return path
     grid = TimeGrid(path.grid.T, N // step)
-    return SampledPath(grid, path.dim, path.values[::step],
-                       holder_hint=path.holder_hint, meta=dict(path.meta))
+    return SampledPath(grid, path.dim, path.values[::step])
 
 
 def _witness_exponent(alpha: float, gamma: float) -> float:
@@ -513,14 +506,14 @@ class ResidualReport:
 def residual(X: SampledPath, sigma: MatrixBV, Y: SampledPath, x0,
              theta: float, *, s: Optional[float] = None,
              n_checkpoints: Optional[int] = 64,
-             classifier_params: Optional[VariabilityParams] = None,
              refine: int = 4) -> ResidualReport:
     """Sup-norm residual of the integral equation
     X^j_t - x0_j - sum_k int_0^t sigma_jk(X) dY^k, evaluated at checkpoint
     times via the duality-pairing integral (time quadrature refined by
     ``refine`` on the piecewise-linear data).
 
-    Precondition: the variability classifier must not return 'diverging' for
+    Precondition: the variability classifier (p = 1, levels 5, 7 and 9, on
+    X subsampled to at most 512 steps) must not return 'diverging' for
     (X, sigma) at the witness exponent s (by default the midpoint of the
     admissible interval derived from the estimated Hoelder exponents).
     """
@@ -530,7 +523,7 @@ def residual(X: SampledPath, sigma: MatrixBV, Y: SampledPath, x0,
     alpha = estimate_holder(X).exponent
     gamma = estimate_holder(Y).exponent
     s_w = s if s is not None else _witness_exponent(alpha, gamma)
-    params = classifier_params or VariabilityParams(s=s_w, p=1.0, levels=(5, 7, 9))
+    params = VariabilityParams(s=s_w, p=1.0, levels=(5, 7, 9))
     report = require_finite(_subsampled(X), sigma, params, context="solution residual")
 
     idx = _checkpoint_indices(X.grid.N, n_checkpoints)
@@ -583,12 +576,12 @@ class ChangeOfVariableReport:
 def change_of_variable_check(F: BVGradientMap, X: SampledPath, theta: float,
                              *, s: Optional[float] = None,
                              n_checkpoints: Optional[int] = 64,
-                             classifier_params: Optional[VariabilityParams] = None,
                              refine: int = 4) -> ChangeOfVariableReport:
     """sup_t |F(X_t) - F(X_0) - sum_k int_0^t (partial_k F)(X) dX^k|.
 
     Requires an estimated Hoelder exponent above 1/2 for X and a
-    non-diverging classifier verdict for every partial.  Adding a constant
+    non-diverging classifier verdict for every partial, with the settings
+    residual uses.  Adding a constant
     to F cancels exactly (only differences of F enter).
     """
     if F.dim != X.dim or len(F.partials) != X.dim:
@@ -599,7 +592,7 @@ def change_of_variable_check(F: BVGradientMap, X: SampledPath, theta: float,
             f"estimated Hoelder exponent {alpha:.3g} <= 1/2: the formula's "
             "hypothesis fails", {"alpha": alpha})
     s_w = s if s is not None else _witness_exponent(alpha, alpha)
-    params = classifier_params or VariabilityParams(s=s_w, p=1.0, levels=(5, 7, 9))
+    params = VariabilityParams(s=s_w, p=1.0, levels=(5, 7, 9))
     Xc = _subsampled(X)
     for k, phi in enumerate(F.partials):
         require_finite(Xc, phi, params, context=f"partial {k}")

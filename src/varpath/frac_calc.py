@@ -10,24 +10,11 @@ pairs (see gls_integral).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gamma as Gamma
 
 import numpy as np
 
 from .gridfun import GridFunction, gagliardo_pth_power
-
-
-@dataclass(frozen=True)
-class FracParams:
-    """Numerical scheme parameters for the fractional norms: the smallest
-    lag, in grid steps, of the off-diagonal double sums."""
-
-    diagonal_floor: int = 1
-
-    def __post_init__(self):
-        if self.diagonal_floor < 1:
-            raise ValueError("diagonal_floor must be >= 1")
 
 
 def _conv(a: np.ndarray, kern: np.ndarray) -> np.ndarray:
@@ -95,8 +82,8 @@ def wm_derivative_left(f: GridFunction, theta: float) -> GridFunction:
     """Left Weyl-Marchaud derivative of order theta:
     (1/Gamma(1-theta)) * ( f(t)/t^theta + theta * int_0^t (f(t)-f(s)) (t-s)^(-theta-1) ds ).
 
-    The value at t = 0 is 0 when f(0) = 0; otherwise it is left at 0 and
-    meta['boundary_singular'] is set."""
+    The value at t = 0 is left at 0; it is the limit when f(0) = 0, and
+    otherwise the derivative is infinite there."""
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0,1)")
     v = f.values
@@ -104,10 +91,7 @@ def wm_derivative_left(f: GridFunction, theta: float) -> GridFunction:
     M = marchaud_difference_integral(v, f.grid.dt, theta)
     out = np.zeros(f.grid.N + 1)
     out[1:] = (v[1:] / t[1:] ** theta + theta * M[1:]) / Gamma(1 - theta)
-    meta = {}
-    if v[0] != 0.0:
-        meta["boundary_singular"] = True
-    return GridFunction(f.grid, out, meta=meta)
+    return GridFunction(f.grid, out)
 
 
 def wm_derivative_right_adjusted(g: GridFunction, theta: float) -> GridFunction:
@@ -147,30 +131,27 @@ def _weighted_power_integral(values: np.ndarray, times: np.ndarray, q: float, p:
     return float(np.dot(avg, cell))
 
 
-def w0_parts(f: GridFunction, theta: float, p: float,
-             params: FracParams | None = None) -> tuple[float, float, float]:
+def w0_parts(f: GridFunction, theta: float, p: float) -> tuple[float, float, float]:
     """(weighted term, Gagliardo p-th power, L^p p-th power) of the
     left-anchored fractional Sobolev norm."""
     if not (0.0 < theta < 1.0) or p < 1:
         raise ValueError("need theta in (0,1) and p >= 1")
     if theta * p >= 1:
         raise ValueError(f"theta*p must be < 1 for the weighted term, got {theta * p}")
-    floor = params.diagonal_floor if params is not None else 1
     weighted = _weighted_power_integral(f.values, f.grid.times, theta * p, p)
-    semi = gagliardo_pth_power(f.values, f.grid.dt, theta, p, diagonal_floor=floor)
+    semi = gagliardo_pth_power(f.values, f.grid.dt, theta, p)
     lp = float(np.sum(np.abs(f.values[:-1]) ** p) * f.grid.dt)
     return weighted, semi, lp
 
 
-def norm_W0(f: GridFunction, theta: float, p: float,
-            params: FracParams | None = None) -> float:
+def norm_W0(f: GridFunction, theta: float, p: float) -> float:
     """Left-anchored fractional Sobolev norm:
     int |f|^p t^(-theta p) dt + (Gagliardo seminorm)^p."""
-    weighted, semi, _ = w0_parts(f, theta, p, params)
+    weighted, semi, _ = w0_parts(f, theta, p)
     return weighted + semi
 
 
-def norm_WT(g: GridFunction, theta: float, params: FracParams | None = None) -> float:
+def norm_WT(g: GridFunction, theta: float) -> float:
     """Right-anchored Holder-type norm:
     sup_t |g(T)-g(t)| / (T-t)^theta  +  sup_t int_t^T |g(t)-g(u)| |t-u|^(-1-theta) du,
     with the diagonal excluded at |t-u| >= dt."""
@@ -182,19 +163,17 @@ def norm_WT(g: GridFunction, theta: float, params: FracParams | None = None) -> 
     T = g.grid.T
     t = g.grid.times
     term1 = float(np.max(np.abs(v[N] - v[:N]) / (T - t[:N]) ** theta))
-    floor = params.diagonal_floor if params is not None else 1
     acc = np.zeros(N + 1)
-    for k in range(max(1, floor), N + 1):
+    for k in range(1, N + 1):
         lag = k * dt
         acc[: N + 1 - k] += np.abs(v[:-k] - v[k:]) * lag ** (-1.0 - theta) * dt
     term2 = float(acc.max())
     return term1 + term2
 
 
-def dyda_ratio(f: GridFunction, theta: float, p: float,
-               params: FracParams | None = None) -> float:
+def dyda_ratio(f: GridFunction, theta: float, p: float) -> float:
     """Ratio (weighted term) / (seminorm^p + L^p^p): the fractional Hardy
     inequality asserts this is bounded by a constant depending only on
     (theta, p) for continuous data."""
-    weighted, semi, lp = w0_parts(f, theta, p, params)
+    weighted, semi, lp = w0_parts(f, theta, p)
     return weighted / (semi + lp)

@@ -2,13 +2,13 @@
 
 Synthesis of fractional Brownian motion (circulant embedding, exact in
 distribution), deterministic example paths, Holder exponent/seminorm
-estimation over dyadic lags, and pointwise transforms.
+estimation over dyadic lags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,16 +39,13 @@ class TimeGrid:
 class SampledPath:
     """A path sampled on a uniform grid, values in R^n.
 
-    values has shape (N+1, dim).  holder_hint optionally records a known
-    Holder exponent (e.g. H - eps for fBm).  meta carries synthesis
-    provenance (method, seed).
+    values has shape (N+1, dim) and must be finite; a 1-D array is read as
+    one coordinate.
     """
 
     grid: TimeGrid
     dim: int
     values: np.ndarray
-    holder_hint: Optional[float] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -61,9 +58,6 @@ class SampledPath:
         if not np.all(np.isfinite(vals)):
             raise ValueError("path values must be finite")
         object.__setattr__(self, "values", vals)
-
-    def coordinate(self, k: int) -> np.ndarray:
-        return self.values[:, k]
 
     def to_csv(self, path: str) -> None:
         n = self.dim
@@ -140,10 +134,7 @@ def make_fbm(hurst: float, dim: int, grid: TimeGrid, seed: int) -> SampledPath:
         else:
             fgn = _fgn_sample_cholesky(hurst, N, rng)
         values[1:, d] = np.cumsum(scale * fgn)
-    return SampledPath(
-        grid, dim, values, holder_hint=hurst,
-        meta={"method": method, "seed": seed, "hurst": hurst},
-    )
+    return SampledPath(grid, dim, values)
 
 
 def make_power_path(d: float, grid: TimeGrid) -> SampledPath:
@@ -151,7 +142,7 @@ def make_power_path(d: float, grid: TimeGrid) -> SampledPath:
     if not (0.0 < d <= 1.0):
         raise ValueError(f"d must lie in (0,1], got {d}")
     vals = grid.times ** (1.0 / d)
-    return SampledPath(grid, 1, vals[:, None], holder_hint=min(1.0, 1.0 / d))
+    return SampledPath(grid, 1, vals[:, None])
 
 
 def make_linear_path(velocity: np.ndarray, start: np.ndarray, grid: TimeGrid) -> SampledPath:
@@ -207,21 +198,3 @@ def estimate_holder(path: SampledPath) -> HolderEstimate:
     seminorm = float((maxima / lags ** alpha).max())
     return HolderEstimate(exponent=alpha, seminorm=seminorm)
 
-
-def apply_map(path: SampledPath, f: Callable[[np.ndarray], np.ndarray]) -> SampledPath:
-    """Apply a pointwise map R^n -> R^m to every sample.
-
-    f receives one point (shape (n,)) and must return a finite vector; an
-    undefined value raises with the offending time index.
-    """
-    out = []
-    for i, x in enumerate(path.values):
-        try:
-            y = np.atleast_1d(np.asarray(f(x), dtype=float))
-        except Exception as exc:
-            raise ValueError(f"map undefined at time index {i} (t={path.grid.times[i]:g}): {exc}") from exc
-        if not np.all(np.isfinite(y)):
-            raise ValueError(f"map returned non-finite value at time index {i}")
-        out.append(y)
-    values = np.asarray(out)
-    return SampledPath(path.grid, values.shape[1], values)

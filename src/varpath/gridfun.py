@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,7 +16,6 @@ class GridFunction:
 
     grid: TimeGrid
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel()
@@ -42,10 +41,9 @@ class GridFunction:
         np.savetxt(path, data, delimiter=",", header="t,value", comments="", fmt="%.17g")
 
 
-def gagliardo_pth_power(values: np.ndarray, dt: float, theta: float, p: float,
-                        diagonal_floor: int = 1) -> float:
-    """Double Riemann sum of |f(t)-f(u)|^p / |t-u|^(1+theta p) over grid
-    pairs with |t-u| >= diagonal_floor * dt.  Returns the p-th power of the
+def gagliardo_pth_power(values: np.ndarray, dt: float, theta: float, p: float) -> float:
+    """Double Riemann sum of |f(t)-f(u)|^p / |t-u|^(1+theta p) over the
+    off-diagonal grid pairs (|t-u| >= dt).  Returns the p-th power of the
     Gagliardo seminorm."""
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0,1)")
@@ -54,7 +52,7 @@ def gagliardo_pth_power(values: np.ndarray, dt: float, theta: float, p: float,
     v = np.asarray(values, dtype=float)
     n = len(v)
     total = 0.0
-    for k in range(max(1, diagonal_floor), n):
+    for k in range(1, n):
         diffs = np.abs(v[k:] - v[:-k])
         lag = k * dt
         total += 2.0 * dt * dt * lag ** (-1.0 - theta * p) * np.sum(diffs ** p)

@@ -182,25 +182,36 @@ def maps_params_from_config(config: dict) -> dict:
     return {}
 
 
+# the config fields, besides 'N', that each path kind's values depend on
+PATH_FIELDS = {"fbm": ("hurst", "horizon", "dim"), "power": ("d", "horizon"),
+               "linear": ("velocity", "start", "horizon"), "constant": ("point",)}
+
+
 def path_from_config(config: dict, seed: int):
     """Build a SampledPath from {'path': kind, ...params}."""
     kind = _need(config, "path", str)
+    if kind not in PATH_FIELDS:
+        raise ConfigError(f"unknown path kind {kind!r}")
     horizon = _need(config, "horizon", float, default=1.0)
     if not horizon > 0:
         raise ConfigError(f"config field 'horizon' must be positive, got {horizon}")
     grid = TimeGrid(horizon, _need(config, "N", int, low=2))
     dim = _need(config, "dim", int, default=2, low=1)
-    if kind == "fbm":
-        return make_fbm(_need(config, "hurst", float, low=0.01, high=0.99),
-                        dim, grid, seed=seed)
-    if kind == "power":
-        return make_power_path(_need(config, "d", float, low=0.01), grid)
-    if kind == "linear":
-        return make_linear_path(_vector(config, "velocity", [1.0] * dim),
-                                _vector(config, "start", [0.0] * dim), grid)
-    if kind == "constant":
+    try:  # values that overflow, or a parameter outside the family's range
+        if kind == "fbm":
+            return make_fbm(_need(config, "hurst", float, low=0.01, high=0.99),
+                            dim, grid, seed=seed)
+        if kind == "power":
+            return make_power_path(_need(config, "d", float, low=0.01), grid)
+        if kind == "linear":
+            return make_linear_path(_vector(config, "velocity", [1.0] * dim),
+                                    _vector(config, "start", [0.0] * dim), grid)
         return make_constant_path(_vector(config, "point", [0.0] * dim), grid)
-    raise ConfigError(f"unknown path kind {kind!r}")
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        fields = ", ".join(repr(k) for k in PATH_FIELDS[kind])
+        raise ConfigError(f"config fields {fields} of path {kind!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +219,7 @@ def path_from_config(config: dict, seed: int):
 
 
 def run_path(config: dict, seed: int, out_dir: str) -> int:
+    _need(config, "N", int, low=4)  # Holder estimation needs 4 steps
     path = path_from_config(config, seed)
     manifest = Manifest("path", config, seed)
     csv_name = "path.csv"
@@ -254,8 +266,12 @@ def run_integrate(config: dict, seed: int, out_dir: str) -> int:
     manifest = Manifest("integrate", config, seed)
     payload = {"theta": theta, "value": gls_integrate(f, g, theta)}
     if config.get("rate"):
-        meshes = config.get("meshes", [2 ** k for k in range(4, 9)])
-        rep = rate_study(f, g, theta, meshes)
+        meshes = [_need({"meshes": m}, "meshes", int) for m in
+                  _need(config, "meshes", list, default=[2 ** k for k in range(4, 9)])]
+        try:
+            rep = rate_study(f, g, theta, meshes)
+        except ValueError as exc:  # too few meshes, or one not dividing N
+            raise ConfigError(f"config field 'meshes': {exc}") from exc
         payload["rate"] = {"exponent": rep.exponent, "errors": rep.errors,
                            "meshes": rep.meshes, "reference": rep.reference}
     _write_json(out_dir, "integrate_report.json", payload, manifest)
@@ -268,6 +284,7 @@ def run_solve(config: dict, seed: int, out_dir: str) -> int:
     if isinstance(sigma, ScalarBV):
         raise ConfigError("solve needs a matrix coefficient")
     maps = closed_form_maps(config["coefficient"], **maps_params_from_config(config))
+    _need(config, "N", int, low=4)  # the residual estimates Holder exponents
     driver = path_from_config(config, seed)
     x0 = _vector(config, "x0", [1.0, 1.0])
     if x0.shape != (sigma.dim,):
@@ -365,7 +382,8 @@ def run_sweep(config: dict, seed: int, out_dir: str, threads: int = 1) -> int:
         raise ConfigError(f"unknown sweep study {study!r}")
     base = {k: v for k, v in config.items() if k not in ("grid", "study")}
     keys = sorted(grid_spec)
-    cells = [dict(zip(keys, combo)) for combo in product(*(grid_spec[k] for k in keys))]
+    values = [_need(grid_spec, k, list) for k in keys]  # each a list of values
+    cells = [dict(zip(keys, combo)) for combo in product(*values)]
     manifest = Manifest("sweep", config, seed)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

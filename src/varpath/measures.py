@@ -267,10 +267,6 @@ class HistogramDensity:
     density: np.ndarray
     cell: float
 
-    @property
-    def sup_density(self) -> float:
-        return float(self.density.max())
-
 
 def local_time_density(mu: DiscreteMeasure, cell: float) -> HistogramDensity:
     """Histogram estimate of the density of mu with respect to volume, on an

@@ -48,9 +48,6 @@ class VariabilityParams:
     p: float = np.inf
     margin: float = 0.5
     levels: tuple = (6, 8, 10)
-    divergence_threshold: float = DIVERGENCE_THRESHOLD
-    r_squared_floor: float = R_SQUARED_FLOOR
-    residual_cap: float = LOG_RESIDUAL_CAP
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
@@ -156,9 +153,9 @@ def _fit_verdict(params: VariabilityParams, levels: tuple, caps: tuple,
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     max_resid = float(np.abs(y - fit).max())
-    if slope <= params.divergence_threshold:
+    if slope <= DIVERGENCE_THRESHOLD:
         verdict = "finite"
-    elif r2 >= params.r_squared_floor and max_resid <= params.residual_cap:
+    elif r2 >= R_SQUARED_FLOOR and max_resid <= LOG_RESIDUAL_CAP:
         verdict = "diverging"
     else:
         verdict = "inconclusive"
@@ -275,13 +272,12 @@ class EnergySweep:
 
 
 def fbm_energy_bound(hurst: float, n: int, s: float, x: np.ndarray, seeds,
-                     grid, t_min_factors=(4, 16, 64, 256),
-                     threshold: float = 0.05) -> EnergySweep:
+                     grid) -> EnergySweep:
     """Monte Carlo mean of int_0^T |B_t - x|^(-(n-1+s)) dt for fBm B, with a
     divergence flag from a time-floor sweep: the integrand is restricted to
-    t >= t_min and t_min swept down; growth of the mean as t_min -> 0
-    signals a failed phase condition.  The kernel is capped at the typical
-    one-step displacement dt^H."""
+    t >= t_min, t_min swept down from 256 to 4 steps; a growth exponent of
+    the mean above 0.05 signals a failed phase condition.  The kernel is
+    capped at the typical one-step displacement dt^H."""
     from .grid_paths import make_fbm
 
     x = np.asarray(x, dtype=float).reshape(n)
@@ -291,7 +287,7 @@ def fbm_energy_bound(hurst: float, n: int, s: float, x: np.ndarray, seeds,
     dt = grid.dt
     cap = dt ** hurst
     expo = -(n - 1 + s)
-    factors = sorted(t_min_factors, reverse=True)
+    factors = (256, 64, 16, 4)
     per_seed = np.zeros((len(seeds), len(factors)))
     for i, seed in enumerate(seeds):
         path = make_fbm(hurst, n, grid, seed)
@@ -312,7 +308,7 @@ def fbm_energy_bound(hurst: float, n: int, s: float, x: np.ndarray, seeds,
         t_min_values=tuple(t_mins),
         sweep_means=tuple(means),
         growth_exponent=slope,
-        diverging=slope > threshold,
+        diverging=slope > 0.05,
     )
 
 
@@ -325,16 +321,15 @@ class MomentCheck:
     values: tuple
 
 
-def moment_condition_check(phi: ScalarBV, x0: np.ndarray, exponent: float,
-                           levels=(6, 8, 10), box_margin: float = 1.0,
-                           threshold: float = DIVERGENCE_THRESHOLD) -> MomentCheck:
-    """Capped moment int |z - x0|^exponent dPhi(z) across a level sweep,
-    with a divergence flag from the growth regression (the shifted-driver
-    admissibility condition)."""
+def moment_condition_check(phi: ScalarBV, x0: np.ndarray, exponent: float) -> MomentCheck:
+    """Capped moment int |z - x0|^exponent dPhi(z) over the box of half-width
+    2 around x0 at levels 6, 8 and 10, with a divergence flag from the
+    growth regression (the shifted-driver admissibility condition)."""
     x0 = np.asarray(x0, dtype=float).reshape(phi.dim)
     if not (-phi.dim < exponent < 0):
         raise ValueError("exponent must lie in (-n, 0)")
-    box = np.column_stack([x0 - box_margin - 1.0, x0 + box_margin + 1.0])
+    box = np.column_stack([x0 - 2.0, x0 + 2.0])
+    levels = (6, 8, 10)
     vals, caps = [], []
     for L in levels:
         mu = phi.gradient_measure(box, L)
@@ -352,8 +347,8 @@ def moment_condition_check(phi: ScalarBV, x0: np.ndarray, exponent: float,
         slope = float(np.polyfit(np.log(1.0 / np.asarray(caps)),
                                  np.log(np.maximum(vals_arr, 1e-300)), 1)[0])
     return MomentCheck(value=vals[-1], growth_exponent=slope,
-                       diverging=slope > threshold,
-                       levels=tuple(levels), values=tuple(vals))
+                       diverging=slope > DIVERGENCE_THRESHOLD,
+                       levels=levels, values=tuple(vals))
 
 
 def classify_crosscheck_energy(path: SampledPath, phi: ScalarBV,

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 
@@ -6,20 +7,28 @@ import pytest
 
 from varpath.grid_paths import TimeGrid
 
-# one line per acceptance criterion, filled in by tests/test_acceptance.py
-ACCEPTANCE_LINES = {}
+# one verdict per acceptance criterion, filled in by tests/test_acceptance.py
+ACCEPTANCE = {}
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:
-    ACCEPTANCE_LINES[number] = f"ACCEPTANCE {number:2d}: {'PASS' if passed else 'FAIL'} — {detail}"
+    ACCEPTANCE[number] = {"passed": bool(passed), "detail": detail}
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not ACCEPTANCE_LINES:
+    """One ACCEPTANCE line per criterion, and the same verdicts as JSON
+    (criterion -> {"passed", "detail"}) in pytest's cache, by default
+    .pytest_cache/d/varpath/acceptance.json."""
+    if not ACCEPTANCE:
         return
     terminalreporter.section("acceptance criteria")
-    for n in sorted(ACCEPTANCE_LINES):
-        terminalreporter.write_line(ACCEPTANCE_LINES[n])
+    for n, v in sorted(ACCEPTANCE.items()):
+        terminalreporter.write_line(
+            f"ACCEPTANCE {n:2d}: {'PASS' if v['passed'] else 'FAIL'} — {v['detail']}")
+    if getattr(config, "cache", None) is not None:  # None under -p no:cacheprovider
+        out = config.cache.mkdir("varpath") / "acceptance.json"
+        out.write_text(json.dumps({str(n): v for n, v in sorted(ACCEPTANCE.items())},
+                                  indent=2, ensure_ascii=False) + "\n")
 
 
 @pytest.fixture

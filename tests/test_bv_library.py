@@ -150,7 +150,7 @@ def test_batch_inverse_2x2_matches_leverrier():
 def test_lipschitz_wrap_gradient_mass():
     # f(x) = x1 has |grad f| = 1, so the gradient measure of the unit box
     # carries total mass 1
-    phi = lipschitz_wrap(lambda p: p[:, 0], L=1.0, dim=2)
+    phi = lipschitz_wrap(lambda p: p[:, 0], dim=2)
     mu = phi.gradient_measure(np.array([[0.0, 1.0], [0.0, 1.0]]), 6)
     assert mu.total_mass == pytest.approx(1.0, rel=1e-4)
     assert phi(np.array([[0.3, 0.9]])) == pytest.approx(0.3)

@@ -191,7 +191,7 @@ def test_build_solution_constant_sigma_exact():
         2,
         g=lambda x: np.asarray(x, dtype=float) / c,
         f=lambda y: np.asarray(y, dtype=float) * c,
-        lip_f=c, lip_g=1 / c, source="constant")
+        lip_f=c, lip_g=1 / c)
     x0 = np.array([0.3, -0.2])
     X = build_solution(maps, Y, x0)
     assert np.max(np.abs(X.values - (x0 + c * Y.values))) < 1e-12
@@ -231,7 +231,7 @@ def test_residual_constant_sigma_small():
         2,
         g=lambda x: np.asarray(x, dtype=float) / c,
         f=lambda y: np.asarray(y, dtype=float) * c,
-        lip_f=c, lip_g=1 / c, source="constant")
+        lip_f=c, lip_g=1 / c)
     x0 = np.array([0.3, -0.2])
     X = build_solution(maps, Y, x0)
 

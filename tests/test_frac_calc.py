@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as Gamma
 
-from varpath.frac_calc import (FracParams, dyda_ratio, norm_W0, norm_WT,
+from varpath.frac_calc import (dyda_ratio, norm_W0, norm_WT,
                                rl_integral_left, rl_integral_right,
                                wm_derivative_left, wm_derivative_right_adjusted)
 from varpath.gridfun import GridFunction, gagliardo_pth_power
@@ -100,8 +100,3 @@ def test_dyda_ratio_finite_for_smooth():
     f = gf(lambda t: t * (1 - t))
     r = dyda_ratio(f, theta=0.4, p=2.0)
     assert np.isfinite(r) and r > 0
-
-
-def test_frac_params_validation():
-    with pytest.raises(ValueError):
-        FracParams(diagonal_floor=0)

@@ -102,6 +102,9 @@ def test_riemann_sum_rules_and_validation():
         riemann_sum(f, g, [0.0], "left")
     with pytest.raises(ValueError):
         riemann_sum(f, g, grid.times[::16], "simpson")
+    # a partition time off the grid is refused, not snapped
+    with pytest.raises(ValueError, match="partition time=.* not a grid time; the nearest is 0.5"):
+        riemann_sum(f, g, [0.0, 0.5 + 0.3 * grid.dt, 1.0], "left")
 
 
 def test_rate_study_rough_driver_positive_order():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from varpath.grid_paths import (TimeGrid, SampledPath, make_fbm, make_power_path,
                                 make_linear_path, make_constant_path,
-                                estimate_holder, apply_map, from_csv)
+                                estimate_holder, from_csv)
 
 
 def test_time_grid_basics():
@@ -58,15 +57,6 @@ def test_linear_and_constant_paths():
     assert est.exponent > 0.95
     const = make_constant_path(np.array([1.0, 2.0]), grid)
     assert estimate_holder(const).degenerate
-
-
-@given(scale=st.floats(0.1, 5.0), shift=st.floats(-3.0, 3.0))
-@settings(max_examples=20, deadline=None)
-def test_apply_map_affine(scale, shift):
-    grid = TimeGrid(1.0, 128)
-    path = make_fbm(0.7, 2, grid, seed=1)
-    mapped = apply_map(path, lambda x: scale * x + shift)
-    assert np.allclose(mapped.values, scale * path.values + shift)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import varpath
+from varpath.cli import main as cli_main
 from varpath.harness import (EXIT_FAILURE, EXIT_OK, EXIT_REFUSAL, ConfigError,
                              coefficient_from_config, config_digest,
                              path_from_config, run_integrate, run_path,
@@ -170,7 +172,7 @@ def test_cli_path_and_exit_codes(tmp_path):
     assert (tmp_path / "path.csv").exists()
 
 
-def test_cli_bad_config_exits_2(tmp_path):
+def test_cli_bad_config_exits_2(tmp_path, capsys):
     r = run_cli(["path", "--path", "warp", "--N", "128",
                  "--out-dir", str(tmp_path)], cwd=str(tmp_path))
     assert r.returncode == 2, r.stderr
@@ -189,6 +191,35 @@ def test_cli_bad_config_exits_2(tmp_path):
                 cwd=str(tmp_path))
     assert r.returncode == 2, r.stderr
     assert "dimension 2" in r.stderr and "dimension 1" in r.stderr
+    # path values that overflow, drivers too short to estimate regularity,
+    # and unreadable options; these run in-process, as python -m varpath.cli
+    # exits with main's return value
+    for i, (args, config, field) in enumerate([
+            (["path"], {"path": "linear", "velocity": [1e308, 1e308], "horizon": 10, "N": 8},
+             "'velocity'"),
+            (["path"], {"path": "power", "d": 0.5, "horizon": 1e308, "N": 8}, "'horizon'"),
+            (["path"], {"path": "fbm", "hurst": 0.5, "N": 2}, "'N'"),
+            (["solve", "--example", "jump_line", "--hurst", "0.7", "--N", "3"], None, "'N'"),
+            # rate studies with too few meshes, a mesh not dividing N, or unreadable meshes
+            (["integrate", "--coefficient", "constant", "--hurst", "0.7", "--N", "256",
+              "--rate", "--mesh", "2^3..2^5"], None, "'meshes'"),
+            (["integrate", "--coefficient", "constant", "--hurst", "0.7", "--N", "256",
+              "--rate", "--mesh", "3,5,7,9"], None, "'meshes'"),
+            (["integrate", "--coefficient", "constant", "--hurst", "0.7", "--N", "256",
+              "--rate", "--mesh", "x..y"], None, "'meshes'"),
+            (["integrate"], {"coefficient": "constant", "hurst": 0.7, "N": 256, "rate": True,
+                             "meshes": "abc"}, "'meshes'"),
+            (["solve", "--example", "jump_line", "--hurst", "0.7", "--N", "64",
+              "--x0", "a,b"], None, "'x0'"),
+            (["sweep"], {"study": "variability", "path": "fbm", "N": 64, "hurst": 0.7,
+                         "coefficient": "cantor", "grid": {"s": 0.3}}, "'s'")]):
+        out = tmp_path / f"case_{i}"
+        if config is not None:
+            (tmp_path / f"case_{i}.json").write_text(json.dumps(config))
+            args = args + ["--config", str(tmp_path / f"case_{i}.json")]
+        assert cli_main(args + ["--out-dir", str(out)]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err, (args, err)
 
 
 def test_cli_validate(tmp_path):
@@ -207,3 +238,47 @@ def test_script_imports(script):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def _unread_parameters(source: str) -> list:
+    """(function, parameter) for each parameter of a top-level function or
+    class method that its body never reads.  A method's receiver (self or
+    cls) is not a parameter; nested functions are not checked, but a read
+    inside one counts for the function that encloses it."""
+    tree = ast.parse(source)
+    functions = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.append((node.name, node, False))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{item.name}", item,
+                           not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in item.decorator_list))
+                          for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unread = []
+    for name, fn, bound in functions:
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args][int(bound):]
+        params += [a.arg for a in args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        reads = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(name, p) for p in params if p not in reads]
+    return unread
+
+
+def test_unread_parameters_detected():
+    source = ("def f(a, b, *, c=1):\n    def grad(box, level):\n        return a\n"
+              "    return grad\n"
+              "class K:\n    def m(self, x):\n        return 0\n")
+    assert _unread_parameters(source) == [("f", "b"), ("f", "c"), ("K.m", "x")]
+
+
+def test_no_parameter_is_ignored():
+    # a parameter the library accepts and never reads is a setting that does
+    # nothing; delete it, or make the code read it
+    src = Path(varpath.__file__).resolve().parent
+    unread = [(path.name, name, param) for path in sorted(src.glob("*.py"))
+              for name, param in _unread_parameters(path.read_text())]
+    assert unread == []

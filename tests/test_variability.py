@@ -139,7 +139,7 @@ def test_crosscheck_energy_identity():
 
 def test_composition_bound_holds():
     path = make_fbm(0.8, 2, TimeGrid(1.0, 512), seed=6)
-    phi = lipschitz_wrap(lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]), L=1.5, dim=2)
+    phi = lipschitz_wrap(lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]), dim=2)
     chk = composition_bound_check(phi, path, s=0.5, p=2.0, beta=0.2)
     assert chk.lhs >= 0 and chk.rhs > 0
 
