@@ -44,7 +44,7 @@ class SolveRefusal(RuntimeError):
 
 @dataclass(frozen=True)
 class DossMaps:
-    """A forward potential g and its inverse f, with Lipschitz estimates.
+    """A forward potential g and its inverse f.
 
     Both maps are vectorized: points of shape (m, dim) map to (m, dim); a
     single point of shape (dim,) maps to (dim,).
@@ -53,8 +53,6 @@ class DossMaps:
     dim: int
     g: Callable[[np.ndarray], np.ndarray]
     f: Callable[[np.ndarray], np.ndarray]
-    lip_f: float
-    lip_g: float
 
 
 def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
@@ -301,8 +299,7 @@ def solve_nd(sigma: MatrixBV, base, region, *, quad_step: float = 5e-4) -> DossM
     probes = region[:, 0] + np.random.default_rng(0).random((N_CHECK_PROBES, n)) * (
         region[:, 1] - region[:, 0])
 
-    mats = sigma.evaluate(probes)
-    hats = _inverse(mats, probes, "probes")
+    _inverse(sigma.evaluate(probes), probes, "probes")
     dist = distortion_check(sigma, probes, det_floor=DET_FLOOR)
     if not dist["delta_admissible"]:
         raise SolveRefusal("angular bound violated (delta <= -1)", dist)
@@ -327,11 +324,8 @@ def solve_nd(sigma: MatrixBV, base, region, *, quad_step: float = 5e-4) -> DossM
             f"polyline orders disagree by {dev:.3g}: the potential is "
             "path-dependent on this region", {"max_deviation": dev})
 
-    lip_f = float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
-    lip_g = float(np.linalg.svd(hats, compute_uv=False)[:, 0].max())
     maps = DossMaps(n, _vectorize(table, n),
-                    _vectorize(lambda ys: _newton_invert(table, sigma, ys), n),
-                    lip_f=lip_f, lip_g=lip_g)
+                    _vectorize(lambda ys: _newton_invert(table, sigma, ys), n))
     err = float(np.abs(maps.f(maps.g(probes)) - probes).max())
     if err > 100 * INVERSION_TOL * (1.0 + float(np.abs(probes).max())):
         raise SolveRefusal(f"f(g(x)) deviates from x by {err:.3g} at probes",
@@ -374,11 +368,7 @@ def closed_form_maps(name: str, **params) -> DossMaps:
             y2 = np.where(above, (c * x2 - x1) / (c * c - 1.0), x2 / c)
             return np.column_stack([y1, y2])
 
-        branches = [np.array([[c, 1.0], [1.0, c]]), np.array([[c, 1.0], [0.0, c]])]
-        lip_f = max(np.linalg.norm(B, 2) for B in branches)
-        lip_g = max(np.linalg.norm(np.linalg.inv(B), 2) for B in branches)
-        return DossMaps(2, _vectorize(g_core, 2), _vectorize(f_core, 2),
-                        lip_f=float(lip_f), lip_g=float(lip_g))
+        return DossMaps(2, _vectorize(g_core, 2), _vectorize(f_core, 2))
 
     if name == "cone":
         a, b = float(params["a"]), float(params["b"])
@@ -399,11 +389,7 @@ def closed_form_maps(name: str, **params) -> DossMaps:
             y2 = np.where(inside, (b * x2 - a * x1) / d, x2 / b)
             return np.column_stack([y1, y2])
 
-        M = np.array([[b, a], [a, b]])
-        lip_f = np.linalg.norm(M, 2)
-        lip_g = max(np.linalg.norm(np.linalg.inv(M), 2), 1.0 / b)
-        return DossMaps(2, _vectorize(g_core, 2), _vectorize(f_core, 2),
-                        lip_f=float(lip_f), lip_g=float(lip_g))
+        return DossMaps(2, _vectorize(g_core, 2), _vectorize(f_core, 2))
 
     if name == "cantor_shear":
 
@@ -417,13 +403,7 @@ def closed_form_maps(name: str, **params) -> DossMaps:
             w = x2 - np.maximum(x1, 0.0)
             return np.column_stack([x1, cantor_cumulative_inverse(w)])
 
-        # Jacobian branches: [[1,0],[q, s]] with q in {0,1}, s in [1,2]
-        lip_f = max(np.linalg.norm(np.array([[1.0, 0.0], [q, s]]), 2)
-                    for q in (0.0, 1.0) for s in (1.0, 2.0))
-        lip_g = max(np.linalg.norm(np.linalg.inv(np.array([[1.0, 0.0], [q, s]])), 2)
-                    for q in (0.0, 1.0) for s in (1.0, 2.0))
-        return DossMaps(2, _vectorize(g_core, 2), _vectorize(f_core, 2),
-                        lip_f=float(lip_f), lip_g=float(lip_g))
+        return DossMaps(2, _vectorize(g_core, 2), _vectorize(f_core, 2))
 
     raise ValueError(f"unknown closed-form family {name!r}")
 

@@ -83,10 +83,16 @@ class Manifest:
 def _need(config: dict, key: str, kind=None, low=None, high=None, default=None,
           finite=True):
     """Field ``key`` (or a given ``default``) as ``kind`` within [low, high];
-    a float must be finite, or with ``finite=False`` not NaN."""
+    a float must be finite, or with ``finite=False`` not NaN.  A number
+    field refuses true/false, and an int field a fractional number, rather
+    than read them as 1, 0 or the truncated value."""
     if key not in config and default is None:
         raise ConfigError(f"missing config field {key!r}")
     val = config.get(key, default)
+    if kind in (int, float) and isinstance(val, bool):
+        raise ConfigError(f"config field {key!r} must be a number, got {val!r}")
+    if kind is int and isinstance(val, float) and not val.is_integer():
+        raise ConfigError(f"config field {key!r} must be an integer, got {val!r}")
     if kind is not None:
         try:
             val = kind(val)

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .grid_paths import SampledPath
 
@@ -32,6 +30,11 @@ INF_SENTINEL = np.inf
 #: query-atom pairs per distance block of riesz_potential_many: 2 MiB of
 #: doubles, so a block and its kernel values stay in cache
 KERNEL_BLOCK_PAIRS = 2 ** 18
+
+#: scipy.spatial.distance.cdist, bound by the first riesz_potential_many call:
+#: importing scipy.spatial costs about 0.5 s, which a process that never
+#: evaluates a potential should not pay
+cdist = None
 
 
 # threads that evaluate distance blocks: one per CPU this process may run on
@@ -161,6 +164,7 @@ def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndar
     its own columns of the result, with the same operations as inline, so
     the result does not depend on the number of threads.
     """
+    global cdist
     policies = [policy] if isinstance(policy, KernelPolicy) else list(policy)
     for pol in policies:
         pol.validate(mu.dim)
@@ -170,6 +174,8 @@ def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndar
     xs = np.asarray(xs, dtype=float).reshape(-1, mu.dim)
     out = np.zeros((len(policies), len(xs)))
     if mu.n_atoms:
+        if cdist is None:  # on the caller's thread: a worker never imports
+            from scipy.spatial.distance import cdist
         expo = [pol.gamma - mu.dim for pol in policies]
         chunk = max(1, KERNEL_BLOCK_PAIRS // mu.n_atoms)
 
@@ -241,6 +247,8 @@ def upper_regularity_exponent(mu: DiscreteMeasure, radii: Sequence[float]) -> Re
         raise ValueError("need at least 3 radii")
     if mu.n_atoms == 0:
         raise ValueError("empty measure")
+    from scipy.spatial import cKDTree  # loaded here: see cdist
+
     tree = cKDTree(mu.locations)
     sups = np.empty(len(radii))
     uniform = np.allclose(mu.weights, mu.weights[0])

@@ -47,9 +47,10 @@ def kernel_workers(monkeypatch):
     and returns fn's result and the names of the threads that computed
     distance blocks.  The interpreter's switch interval is shortened
     meanwhile, so threads interleave as often as they can."""
+    from scipy.spatial.distance import cdist as real_cdist
+
     from varpath import measures
 
-    real_cdist = measures.cdist
     interval = sys.getswitchinterval()
 
     def run(workers, fn):

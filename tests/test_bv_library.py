@@ -207,9 +207,26 @@ def _curl_per_entry(sigma, region, eps, spacing):
     return max(per.values()), per
 
 
-@pytest.mark.parametrize("sigma", [cone_matrix(1.0, 2.0), jump_line_matrix(2.0)],
-                         ids=["cone(1,2)", "jump_line(2)"])
-def test_curl_check_evaluates_once(sigma):
+def _sigma_3d():
+    """A 3x3 coefficient of ScalarBV entries, two of which jump across planes."""
+    def entry(ev):
+        return ScalarBV(3, ev, None)
+
+    zero, one = entry(lambda p: np.zeros(len(p))), entry(lambda p: np.ones(len(p)))
+    a = entry(lambda p: 2.0 + (p[:, 0] > 0.3 * p[:, 1]))
+    b = entry(lambda p: 0.5 * (p[:, 2] < 0.05))
+    return MatrixBV(3, ((a, one, zero), (zero, constant_scalar(2.0, 3), b), (b, zero, a)))
+
+
+SQUARE = np.array([[-2.0, 2.0], [-2.0, 2.0]])
+
+
+@pytest.mark.parametrize("sigma, region", [
+    (cone_matrix(1.0, 2.0), SQUARE), (jump_line_matrix(2.0), SQUARE),
+    (jump_line_matrix(1.5), np.array([[-1.0, 1.5], [-0.5, 0.75]])),
+    (_sigma_3d(), np.array([[-0.2, 0.3], [-0.1, 0.15], [-0.15, 0.2]]))],
+    ids=["cone(1,2)", "jump_line(2)", "jump_line(1.5), non-square region", "3-D jumps"])
+def test_curl_check_evaluates_once(sigma, region):
     calls = []
 
     def counted(entry):
@@ -218,10 +235,10 @@ def test_curl_check_evaluates_once(sigma):
             return entry.evaluate(pts)
         return ScalarBV(entry.dim, ev, entry.gradient_measure, name=entry.name)
 
-    watched = MatrixBV(2, tuple(tuple(counted(e) for e in row) for row in sigma.entries))
-    region = np.array([[-2.0, 2.0], [-2.0, 2.0]])
+    n = sigma.dim
+    watched = MatrixBV(n, tuple(tuple(counted(e) for e in row) for row in sigma.entries))
     rep = curl_check(watched, region, eps=0.12, spacing=0.03)
-    assert len(calls) == 4  # sigma evaluated once over the grid: one call per entry
+    assert len(calls) == n * n  # sigma evaluated once over the grid: one call per entry
     worst, per = _curl_per_entry(sigma, region, 0.12, 0.03)
     assert rep["max_residual"] == worst
     assert rep["per_component"] == per

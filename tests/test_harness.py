@@ -209,6 +209,11 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
               "--rate", "--mesh", "x..y"], None, "'meshes'"),
             (["integrate"], {"coefficient": "constant", "hurst": 0.7, "N": 256, "rate": True,
                              "meshes": "abc"}, "'meshes'"),
+            # an integer field refuses a fraction or a boolean instead of reading a number
+            (["integrate"], {"coefficient": "constant", "hurst": 0.7, "N": 256, "rate": True,
+                             "meshes": [16.9, 32, 64, 128]}, "'meshes'"),
+            (["path"], {"path": "fbm", "hurst": 0.5, "N": 64.5}, "'N'"),
+            (["path"], {"path": "fbm", "hurst": 0.7, "N": 64, "dim": True}, "'dim'"),
             (["solve", "--example", "jump_line", "--hurst", "0.7", "--N", "64",
               "--x0", "a,b"], None, "'x0'"),
             (["sweep"], {"study": "variability", "path": "fbm", "N": 64, "hurst": 0.7,
@@ -220,6 +225,23 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         assert cli_main(args + ["--out-dir", str(out)]) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err, (args, err)
+
+
+def test_cli_integer_fields_accept_integral_floats(tmp_path):
+    # 64.0 is the integer 64: the same path and the same rate study
+    outputs = []
+    for N, meshes in ((64, [16, 32, 64, 128]), (64.0, [16.0, 32, 64, 128.0])):
+        out = tmp_path / str(N)
+        for sub, config in (("path", {"path": "fbm", "hurst": 0.7, "N": N}),
+                            ("integrate", {"path": "fbm", "hurst": 0.7, "N": 256,
+                                           "coefficient": "constant", "rate": True,
+                                           "meshes": meshes})):
+            cfg = tmp_path / f"{sub}_{N}.json"
+            cfg.write_text(json.dumps(config))
+            assert cli_main([sub, "--config", str(cfg), "--out-dir", str(out / sub)]) == EXIT_OK
+        outputs.append([(out / "path" / "path.csv").read_text(),
+                        read_json(out / "integrate", "integrate_report.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_validate(tmp_path):
@@ -282,3 +304,39 @@ def test_no_parameter_is_ignored():
     unread = [(path.name, name, param) for path in sorted(src.glob("*.py"))
               for name, param in _unread_parameters(path.read_text())]
     assert unread == []
+
+
+def _import_time_scipy_imports(source: str) -> list:
+    """Line numbers of the imports that run when the module is imported
+    (outside any function body) and load a scipy submodule:
+    ``from scipy... import`` and ``import scipy.x``.  A bare ``import scipy``
+    loads no submodule and is not listed."""
+    lines = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                a.name.startswith("scipy.") for a in node.names):
+            lines.append(node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_import_time_scipy_imports_detected():
+    source = ("import scipy\nimport numpy, scipy.linalg\nfrom scipy import ndimage\n"
+              "def f():\n    from scipy.spatial import cKDTree\n"
+              "try:\n    from scipy.special import gamma\nexcept ImportError:\n    pass\n")
+    assert _import_time_scipy_imports(source) == [2, 3, 7]
+
+
+def test_no_module_level_scipy_submodule_import():
+    # import varpath loads numpy only; a scipy module loads inside the
+    # function that first needs it
+    src = Path(varpath.__file__).resolve().parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _import_time_scipy_imports(path.read_text())]
+    assert found == []

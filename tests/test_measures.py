@@ -1,13 +1,16 @@
+import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import varpath
 from varpath import measures
 from varpath.bv_library import cantor_level_atoms
 from varpath.grid_paths import TimeGrid, make_constant_path, make_fbm, make_linear_path
@@ -196,16 +199,55 @@ def test_csv_roundtrip(tmp_path, rng):
     assert np.allclose(back.weights, mu.weights)
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.integrate and scipy.signal load only when a function needs them
-    code = ("import sys, varpath; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules))")
+def _fresh_process(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that imports this varpath."""
     pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(measures.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [pkg_parent] + [e for e in os.environ.get("PYTHONPATH", "").split(os.pathsep) if e]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout
+
+
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # import varpath costs numpy only: each scipy module loads at the first
+    # call that uses it
+    assert _fresh_process("import sys, varpath; " + SCIPY_LOADED).strip() == "[]"
+    # a Doss solve, its queries and a solution load none of scipy, and
+    # neither does a solve that the curl check refuses
+    solve = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        from varpath import (SolveRefusal, TimeGrid, build_solution, cone_matrix,
+                             jump_line_matrix, make_fbm, solve_nd)
+        region = np.array([[-1.5, 1.5], [-1.5, 1.5]])
+        maps = solve_nd(jump_line_matrix(2.0), np.array([-1.0, -1.0]), region)
+        xs = np.array([[0.3, -0.2], [-0.5, 0.9]])
+        assert np.abs(maps.f(maps.g(xs)) - xs).max() < 1e-6
+        Y = make_fbm(0.7, 2, TimeGrid(1.0, 64), seed=0)
+        assert np.isfinite(build_solution(maps, Y, np.array([0.2, 0.1])).values).all()
+        try:
+            solve_nd(cone_matrix(1.0, 2.0), np.array([-1.0, -1.0]), region)
+            raise AssertionError("the cone solve was not refused")
+        except SolveRefusal as exc:
+            assert "cross-derivative symmetry" in str(exc)
+        """) + SCIPY_LOADED
+    assert _fresh_process(solve).strip() == "[]"
+
+
+def test_first_classify_in_a_fresh_process_matches_in_process():
+    # a new process binds cdist at its first kernel call, on the calling
+    # thread; the level-7 call then sends four distance blocks (7,008
+    # atoms, 37 of the 129 path points per block) to the pool
+    call = ("classify(make_fbm(0.7, 2, TimeGrid(1.0, 128), seed=4), cantor_coefficient(2), "
+            "VariabilityParams(s=0.5, p=1.0, levels=(5, 6, 7))).to_dict()")
+    fresh, workers, pooled = json.loads(_fresh_process(
+        "import json\nfrom varpath import *\nfrom varpath import measures\n"
+        f"print(json.dumps([{call}, measures.KERNEL_WORKERS, measures._pool is not None]))"))
+    assert pooled or workers == 1
+    assert fresh == json.loads(json.dumps(eval(call, vars(varpath))))
 
 
 def test_negative_weights_rejected():
