@@ -31,6 +31,7 @@ from .measures import DiscreteMeasure
 
 LOG2_OVER_LOG3 = np.log(2.0) / np.log(3.0)  # Cantor measure dimension
 LIPSCHITZ_CELLS = 256  # most cells per box side in lipschitz_wrap's measure
+DISTORTION_DIRECTIONS = 720  # unit-sphere sample of distortion_check
 
 
 def level_scale(level: int) -> float:
@@ -719,19 +720,20 @@ def curl_check(sigma: MatrixBV, region: np.ndarray, eps: float,
 
 
 def distortion_check(sigma: MatrixBV, probes: np.ndarray,
-                     n_directions: int = 720, det_floor: float = 1e-12) -> dict:
+                     det_floor: float = 1e-12) -> dict:
     """Distortion constant kappa = max |sigma^{-1}|_op^n / det(sigma^{-1})
     over the probes, and the angular constant
     delta = min <xi, sigma xi> / (|sigma xi| |xi|) over probes and a
-    unit-sphere sample.  Flags delta <= -1."""
+    unit-sphere sample of DISTORTION_DIRECTIONS directions.  Flags
+    delta <= -1."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     n = sigma.dim
     if n == 2:
-        ang = np.linspace(0, 2 * np.pi, n_directions, endpoint=False)
+        ang = np.linspace(0, 2 * np.pi, DISTORTION_DIRECTIONS, endpoint=False)
         xis = np.column_stack([np.cos(ang), np.sin(ang)])
     else:
         rng = np.random.default_rng(0)
-        xis = rng.standard_normal((n_directions, n))
+        xis = rng.standard_normal((DISTORTION_DIRECTIONS, n))
         xis /= np.linalg.norm(xis, axis=1, keepdims=True)
     A = sigma.evaluate(probes)
     Ainv, det = batch_inverse(A, det_floor)

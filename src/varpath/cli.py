@@ -28,7 +28,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
     sub.add_argument("--out-dir", default=".", help="artifact directory")
-    sub.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="parameter-grid study")
     _add_common(p)
+    p.add_argument("--threads", type=int, default=1, help="configurations run at once")
     return parser
 
 

@@ -463,6 +463,19 @@ def _witness_exponent(alpha: float, gamma: float) -> float:
     return float(np.clip(0.5 * (lower + 1.0), 0.05, 0.95))
 
 
+def _pairing_sum(coefficients, X: SampledPath, Z: SampledPath, theta: float,
+                 idx: np.ndarray, refine: int) -> np.ndarray:
+    """sum_k int_0^t phi_k(X) dZ^k at the checkpoint indices idx, for the
+    coefficients phi_k in order, each a duality-pairing series."""
+    total = np.zeros(X.grid.N + 1)
+    for k, phi in enumerate(coefficients):
+        integrand = GridFunction(X.grid, phi(X.values))
+        driver = GridFunction(Z.grid, Z.values[:, k])
+        total += gls_integrate_series(integrand, driver, theta, indices=idx,
+                                      refine=refine).values
+    return total[idx]
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     sup: float
@@ -507,17 +520,9 @@ def residual(X: SampledPath, sigma: MatrixBV, Y: SampledPath, x0,
     report = require_finite(_subsampled(X), sigma, params, context="solution residual")
 
     idx = _checkpoint_indices(X.grid.N, n_checkpoints)
-    n = sigma.dim
-    by_comp = np.empty((n, len(idx)))
-    for j in range(n):
-        total = np.zeros(X.grid.N + 1)
-        for k in range(n):
-            integrand = GridFunction(X.grid, sigma.entries[j][k](X.values))
-            driver = GridFunction(Y.grid, Y.values[:, k])
-            series = gls_integrate_series(integrand, driver, theta, indices=idx,
-                                          refine=refine)
-            total += series.values
-        by_comp[j] = X.values[idx, j] - x0[j] - total[idx]
+    by_comp = np.array([X.values[idx, j] - x0[j]
+                        - _pairing_sum(row, X, Y, theta, idx, refine)
+                        for j, row in enumerate(sigma.entries)])
     return ResidualReport(float(np.abs(by_comp).max()), by_comp,
                           X.grid.times[idx], s_w, report.to_dict(), theta)
 
@@ -579,12 +584,6 @@ def change_of_variable_check(F: BVGradientMap, X: SampledPath, theta: float,
 
     idx = _checkpoint_indices(X.grid.N, n_checkpoints)
     Fvals = np.asarray(F.evaluate(X.values), dtype=float).ravel()
-    total = np.zeros(X.grid.N + 1)
-    for k, phi in enumerate(F.partials):
-        integrand = GridFunction(X.grid, np.asarray(phi(X.values), dtype=float))
-        driver = GridFunction(X.grid, X.values[:, k])
-        total += gls_integrate_series(integrand, driver, theta, indices=idx,
-                                      refine=refine).values
-    vals = Fvals[idx] - Fvals[0] - total[idx]
+    vals = Fvals[idx] - Fvals[0] - _pairing_sum(F.partials, X, X, theta, idx, refine)
     return ChangeOfVariableReport(float(np.abs(vals).max()), vals,
                                   X.grid.times[idx], s_w, alpha, theta)

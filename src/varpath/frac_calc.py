@@ -5,7 +5,8 @@ piecewise-linear interpolant of the data, which reduces to discrete
 convolutions with closed-form kernel moments.  Everything is real-valued;
 the overall sign of the adjusted right derivative is fixed so that the
 fractional duality pairing reproduces the classical integral on smooth
-pairs (see gls_integral).
+pairs (see gls_integral).  Both Weyl-Marchaud derivatives refuse
+(NormOverflowError) a series that overflows.
 """
 
 from __future__ import annotations
@@ -17,11 +18,23 @@ import numpy as np
 from .gridfun import GridFunction, gagliardo_pth_power
 
 
-def _conv(a: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Linear convolution truncated to len(a) leading entries."""
-    from scipy.signal import convolve  # loaded here: it pulls in most of scipy
+class NormOverflowError(RuntimeError):
+    """A fractional-derivative series overflowed at grid scale."""
 
-    return convolve(a, kern, method="auto")[: len(a)]
+
+def _conv(a: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Linear convolution truncated to len(a) leading entries: one real FFT
+    product at the power-of-two length that holds the full convolution."""
+    size = 1 << (len(a) + len(kern) - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(kern, size), size)[: len(a)]
+
+
+def _finite_series(grid, values: np.ndarray, name: str) -> GridFunction:
+    """The derivative series as a GridFunction; refuses an overflowed one."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise NormOverflowError(f"{name} overflowed at t = {grid.times[bad[0]]:g}")
+    return GridFunction(grid, values)
 
 
 def rl_integral_left(f: GridFunction, theta: float) -> GridFunction:
@@ -88,10 +101,11 @@ def wm_derivative_left(f: GridFunction, theta: float) -> GridFunction:
         raise ValueError("theta must lie in (0,1)")
     v = f.values
     t = f.grid.times
-    M = marchaud_difference_integral(v, f.grid.dt, theta)
     out = np.zeros(f.grid.N + 1)
-    out[1:] = (v[1:] / t[1:] ** theta + theta * M[1:]) / Gamma(1 - theta)
-    return GridFunction(f.grid, out)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        M = marchaud_difference_integral(v, f.grid.dt, theta)
+        out[1:] = (v[1:] / t[1:] ** theta + theta * M[1:]) / Gamma(1 - theta)
+    return _finite_series(f.grid, out, f"left Weyl-Marchaud series of order {theta:g}")
 
 
 def wm_derivative_right_adjusted(g: GridFunction, theta: float) -> GridFunction:
@@ -112,12 +126,13 @@ def wm_derivative_right_adjusted(g: GridFunction, theta: float) -> GridFunction:
     N = g.grid.N
     T = g.grid.T
     t = g.grid.times
-    Mrev = marchaud_difference_integral(v[::-1], g.grid.dt, 1.0 - theta)
-    M_right = Mrev[::-1]  # M_right[i] = int_{t_i}^T (g(t_i)-g(s)) (s-t_i)^(theta-2) ds
     out = np.zeros(N + 1)
-    out[:N] = -((v[:N] - v[N]) * (T - t[:N]) ** (theta - 1.0)
-                + (1.0 - theta) * M_right[:N]) / Gamma(theta)
-    return GridFunction(g.grid, out)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        Mrev = marchaud_difference_integral(v[::-1], g.grid.dt, 1.0 - theta)
+        M_right = Mrev[::-1]  # M_right[i] = int_{t_i}^T (g(t_i)-g(s)) (s-t_i)^(theta-2) ds
+        out[:N] = -((v[:N] - v[N]) * (T - t[:N]) ** (theta - 1.0)
+                    + (1.0 - theta) * M_right[:N]) / Gamma(theta)
+    return _finite_series(g.grid, out, f"right Weyl-Marchaud series of order {1 - theta:g}")
 
 
 def _weighted_power_integral(values: np.ndarray, times: np.ndarray, q: float, p: float) -> float:

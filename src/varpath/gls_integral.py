@@ -16,12 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .frac_calc import wm_derivative_left, wm_derivative_right_adjusted
+from .frac_calc import NormOverflowError, wm_derivative_left, wm_derivative_right_adjusted
 from .gridfun import GridFunction
-
-
-class NormOverflowError(RuntimeError):
-    """A fractional-derivative series overflowed at grid scale."""
 
 
 def _grid_index(grid, t: float, name: str) -> int:
@@ -86,20 +82,13 @@ def upsample_linear(f: GridFunction, m: int) -> GridFunction:
     return GridFunction(fine, np.interp(fine.times, f.grid.times, f.values))
 
 
-def wm_right_series(g: GridFunction, theta: float) -> np.ndarray:
-    """Cached-friendly access to the adjusted right-derivative series of g."""
-    W = wm_derivative_right_adjusted(g, theta).values
-    if not np.all(np.isfinite(W)):
-        raise NormOverflowError("right-derivative series of the integrator overflowed")
-    return W
-
-
 def gls_integrate(f: GridFunction, g: GridFunction, theta: float,
                   t_end: Optional[float] = None,
                   _W: Optional[np.ndarray] = None) -> float:
     """int_0^t_end f dg by the fractional duality pairing (t_end defaults
     to the horizon).  _W allows reusing the right-derivative series of g
-    across many t_end values."""
+    across many t_end values.  Raises NormOverflowError when a derivative
+    series or the pairing itself is not finite."""
     if f.grid.N != g.grid.N or abs(f.grid.T - g.grid.T) > 1e-12:
         raise ValueError("f and g must share a grid")
     if t_end is None:
@@ -107,12 +96,13 @@ def gls_integrate(f: GridFunction, g: GridFunction, theta: float,
     vals, idx = _restrict(f, t_end)
     if idx == 0:
         return 0.0
-    fr = GridFunction(f.grid, vals)
-    D = wm_derivative_left(fr, theta).values
-    if not np.all(np.isfinite(D)):
-        raise NormOverflowError("left-derivative series of the integrand overflowed")
-    W = _W if _W is not None else wm_right_series(g, theta)
-    return _duality_time_integral(D, W, f.grid, theta, vals[0])
+    D = wm_derivative_left(GridFunction(f.grid, vals), theta).values
+    W = _W if _W is not None else wm_derivative_right_adjusted(g, theta).values
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        value = _duality_time_integral(D, W, f.grid, theta, vals[0])
+    if not np.isfinite(value):
+        raise NormOverflowError(f"duality pairing up to t = {t_end:g} overflowed to {value}")
+    return value
 
 
 def gls_integrate_series(f: GridFunction, g: GridFunction, theta: float,
@@ -132,7 +122,7 @@ def gls_integrate_series(f: GridFunction, g: GridFunction, theta: float,
         idx_r = None if indices is None else [int(i) * refine for i in indices]
         series = gls_integrate_series(fr, gr, theta, indices=idx_r)
         return GridFunction(f.grid, series.values[::refine].copy())
-    W = wm_right_series(g, theta)
+    W = wm_derivative_right_adjusted(g, theta).values
     if indices is None:
         indices = range(N + 1)
     indices = sorted(set(int(i) for i in indices) | {0, N})

@@ -36,10 +36,6 @@ class GridFunction:
             return float(v.max())
         return float((np.sum(v[:-1] ** p) * self.grid.dt) ** (1.0 / p))
 
-    def to_csv(self, path: str) -> None:
-        data = np.column_stack([self.grid.times, self.values])
-        np.savetxt(path, data, delimiter=",", header="t,value", comments="", fmt="%.17g")
-
 
 def gagliardo_pth_power(values: np.ndarray, dt: float, theta: float, p: float) -> float:
     """Double Riemann sum of |f(t)-f(u)|^p / |t-u|^(1+theta p) over the

@@ -24,9 +24,6 @@ import numpy as np
 
 from .grid_paths import SampledPath
 
-#: sentinel for an exactly-singular uncapped kernel evaluation
-INF_SENTINEL = np.inf
-
 #: query-atom pairs per distance block of riesz_potential_many: 2 MiB of
 #: doubles, so a block and its kernel values stay in cache
 KERNEL_BLOCK_PAIRS = 2 ** 18
@@ -35,6 +32,9 @@ KERNEL_BLOCK_PAIRS = 2 ** 18
 #: importing scipy.spatial costs about 0.5 s, which a process that never
 #: evaluates a potential should not pay
 cdist = None
+
+CONVOLUTION_Y_REF = 1.0  # calibration point of convolution_identity_check
+CONVOLUTION_HALF_WIDTH = 2e4  # R of its quadrature over [-R, R + y]
 
 
 # threads that evaluate distance blocks: one per CPU this process may run on
@@ -127,25 +127,16 @@ def occupation_measure(path: SampledPath) -> DiscreteMeasure:
     return DiscreteMeasure(path.dim, path.values[:N], w)
 
 
-def _capped_kernel(dist: np.ndarray, gamma: float, n: int, h: float) -> np.ndarray:
-    if h > 0:
-        return np.maximum(dist, h) ** (gamma - n)
-    out = np.empty_like(dist)
-    zero = dist == 0.0
-    out[~zero] = dist[~zero] ** (gamma - n)
-    out[zero] = INF_SENTINEL
-    return out
-
-
 def riesz_potential(mu: DiscreteMeasure, policy: KernelPolicy, x: np.ndarray) -> float:
     """Capped Riesz potential sum_j w_j * max(|x - y_j|, h)^(gamma - n).
 
-    With h = 0 and x on an atom the result is the +inf sentinel.
+    With h = 0 and x on an atom the result is +inf.
     """
     policy.validate(mu.dim)
     x = np.asarray(x, dtype=float).reshape(mu.dim)
     d = np.linalg.norm(mu.locations - x, axis=1)
-    k = _capped_kernel(d, policy.gamma, mu.dim, policy.cap_radius)
+    with np.errstate(divide="ignore"):  # h = 0 on an atom: +inf
+        k = np.maximum(d, policy.cap_radius) ** (policy.gamma - mu.dim)
     return float(np.dot(mu.weights, k))
 
 
@@ -154,9 +145,9 @@ def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndar
 
     ``policy`` is one KernelPolicy, giving shape (m,), or a sequence of
     policies that share one cap radius, giving (k, m): every order is then
-    evaluated on the same block of pairwise distances.  One order raises
-    the block to its power; several take the log of the block once and one
-    exp per order.
+    evaluated on the same block of pairwise distances.  Each block takes its
+    log once and one exp per order, so an order's values do not depend on
+    which other orders share the call.
 
     A block holds KERNEL_BLOCK_PAIRS // n_atoms query rows.  With two or
     more blocks, they run on the shared pool of KERNEL_WORKERS threads
@@ -181,12 +172,9 @@ def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndar
 
         def block(lo):
             # numpy and scipy only: a worker thread never calls into varpath
-            with np.errstate(divide="ignore"):  # h = 0 on an atom: the +inf sentinel
+            with np.errstate(divide="ignore"):  # h = 0 on an atom: +inf
                 d = cdist(xs[lo:lo + chunk], mu.locations)
                 np.maximum(d, h, out=d)
-                if len(expo) == 1:
-                    out[0, lo:lo + chunk] = np.power(d, expo[0], out=d) @ mu.weights
-                    return
                 logd = np.log(d, out=d)
                 k = np.empty_like(logd)
                 for j, e in enumerate(expo):
@@ -291,34 +279,32 @@ def local_time_density(mu: DiscreteMeasure, cell: float) -> HistogramDensity:
     return HistogramDensity(edges=list(edges), density=hist / cell ** mu.dim, cell=cell)
 
 
-def _riesz_convolution_raw(gamma1: float, gamma2: float, y: float,
-                           half_width: float) -> float:
-    """1D quadrature of int |x|^(g1-1) |x-y|^(g2-1) dx over [-R, R+y],
-    splitting at the two singular points."""
+def _riesz_convolution_raw(gamma1: float, gamma2: float, y: float) -> float:
+    """1D quadrature of int |x|^(g1-1) |x-y|^(g2-1) dx over [-R, R+y]
+    (R = CONVOLUTION_HALF_WIDTH), splitting at the two singular points."""
     from scipy import integrate  # loaded here: it pulls in most of scipy
 
     def integrand(x):
         return np.abs(x) ** (gamma1 - 1.0) * np.abs(x - y) ** (gamma2 - 1.0)
 
-    val, _ = integrate.quad(integrand, -half_width, half_width + y,
+    val, _ = integrate.quad(integrand, -CONVOLUTION_HALF_WIDTH, CONVOLUTION_HALF_WIDTH + y,
                             points=[0.0, y], limit=200)
     return val
 
 
-def convolution_identity_check(gamma1: float, gamma2: float, y: float,
-                               y_ref: float = 1.0, half_width: float = 200.0) -> float:
+def convolution_identity_check(gamma1: float, gamma2: float, y: float) -> float:
     """Scaling check for the composition of two Riesz kernels in one
-    dimension: the convolution evaluated at y and at a reference point must
-    scale like |y|^(gamma1+gamma2-1).  The unknown constant ratio is
-    calibrated at the reference point and divided out; the return value is
-    the relative error of the scaling law."""
+    dimension: the convolution evaluated at y and at the reference point
+    CONVOLUTION_Y_REF must scale like |y|^(gamma1+gamma2-1).  The unknown
+    constant ratio is calibrated at the reference point and divided out;
+    the return value is the relative error of the scaling law."""
     n = 1
     if gamma1 + gamma2 >= n:
         raise ValueError("gamma1 + gamma2 must be < n for a convergent convolution")
     if y == 0:
         raise ValueError("y must be nonzero")
-    ref = _riesz_convolution_raw(gamma1, gamma2, y_ref, half_width)
-    cal = ref / y_ref ** (gamma1 + gamma2 - n)  # calibrated constant ratio
-    val = _riesz_convolution_raw(gamma1, gamma2, y, half_width)
+    ref = _riesz_convolution_raw(gamma1, gamma2, CONVOLUTION_Y_REF)
+    cal = ref / CONVOLUTION_Y_REF ** (gamma1 + gamma2 - n)  # calibrated constant ratio
+    val = _riesz_convolution_raw(gamma1, gamma2, y)
     predicted = cal * abs(y) ** (gamma1 + gamma2 - n)
     return abs(val - predicted) / abs(predicted)

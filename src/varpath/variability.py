@@ -21,7 +21,8 @@ import numpy as np
 from .bv_library import MatrixBV, ScalarBV
 from .grid_paths import SampledPath, estimate_holder
 from .gridfun import GridFunction, gagliardo_pth_power
-from .measures import KernelPolicy, fractional_maximal, occupation_measure, riesz_potential_many
+from .measures import (DiscreteMeasure, KernelPolicy, fractional_maximal, occupation_measure,
+                       riesz_potential_many)
 
 # growth exponent above which (with a good fit) the L^p norms are declared
 # divergent; calibrated on the library's known-finite and known-infinite
@@ -170,12 +171,12 @@ def classify_sweep(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
 
     The gradient measures and the path-to-atom distances do not depend on
     s: each level builds its measures once, and riesz_potential_many
-    evaluates the exact capped kernel for every order 1 - s on the same
-    distance blocks.  classify is this function with one s; with several,
-    the kernel is computed as exp((1 - s - n) log d) instead of a power, so
-    the norms agree with classify's to rounding.  Every field of
-    params_base except s applies to all reports.  Returns one
-    VariabilityReport per s, in order.
+    evaluates the exact capped kernel exp((1 - s - n) log d) for every order
+    1 - s on the same distance blocks.  classify is this function with one
+    s, and an order's kernel values do not depend on the other orders of
+    the call, so classify's report equals the s-entry of any sweep bit for
+    bit.  Every field of params_base except s applies to all reports.
+    Returns one VariabilityReport per s, in order.
     """
     params = [dataclasses.replace(params_base, s=float(s)) for s in s_values]
     s_values = [p.s for p in params]
@@ -285,14 +286,14 @@ def fbm_energy_bound(hurst: float, n: int, s: float, x: np.ndarray, seeds,
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds")
     dt = grid.dt
-    cap = dt ** hurst
-    expo = -(n - 1 + s)
+    # the kernel of order 1 - s, capped at dt^H, from one unit atom at x
+    atom = DiscreteMeasure(n, x, np.ones(1))
+    policy = KernelPolicy(gamma=1.0 - s, cap_radius=dt ** hurst)
     factors = (256, 64, 16, 4)
     per_seed = np.zeros((len(seeds), len(factors)))
     for i, seed in enumerate(seeds):
         path = make_fbm(hurst, n, grid, seed)
-        d = np.linalg.norm(path.values[:-1] - x, axis=1)
-        k = np.maximum(d, cap) ** expo
+        k = riesz_potential_many(atom, policy, path.values[:-1])
         t = grid.times[:-1]
         for j, fac in enumerate(factors):
             mask = t >= fac * dt
@@ -332,13 +333,9 @@ def moment_condition_check(phi: ScalarBV, x0: np.ndarray, exponent: float) -> Mo
     levels = (6, 8, 10)
     vals, caps = [], []
     for L in levels:
-        mu = phi.gradient_measure(box, L)
         h = phi.scale(L)
-        if mu.n_atoms == 0:
-            vals.append(0.0)
-        else:
-            d = np.linalg.norm(mu.locations - x0, axis=1)
-            vals.append(float(np.dot(mu.weights, np.maximum(d, h) ** exponent)))
+        policy = KernelPolicy(gamma=phi.dim + exponent, cap_radius=h)
+        vals.append(float(riesz_potential_many(phi.gradient_measure(box, L), policy, x0)[0]))
         caps.append(h)
     vals_arr = np.asarray(vals)
     if vals_arr.max() <= 0:

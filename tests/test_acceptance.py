@@ -280,8 +280,8 @@ def test_criterion_08_frac_calc_oracles():
     roundtrip = float(np.max(np.abs(back.values - f.values)))
     assert roundtrip < 1e-2  # frozen: 1.9e-4
 
-    conv1 = convolution_identity_check(0.3, 0.4, y=2.0, half_width=2e4)
-    conv2 = convolution_identity_check(0.25, 0.5, y=2.0, half_width=2e4)
+    conv1 = convolution_identity_check(0.3, 0.4, y=2.0)
+    conv2 = convolution_identity_check(0.25, 0.5, y=2.0)
     assert conv1 < 0.01 and conv2 < 0.01  # frozen: 0.50%, 0.74%
     record_criterion(8, True,
                      f"I^t1 rel err {rel:.1e}; roundtrip {roundtrip:.1e}; "

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as Gamma
 
-from varpath.frac_calc import (dyda_ratio, norm_W0, norm_WT,
+from varpath.frac_calc import (NormOverflowError, _conv, dyda_ratio, norm_W0, norm_WT,
                                rl_integral_left, rl_integral_right,
                                wm_derivative_left, wm_derivative_right_adjusted)
 from varpath.gridfun import GridFunction, gagliardo_pth_power
@@ -100,3 +100,35 @@ def test_dyda_ratio_finite_for_smooth():
     f = gf(lambda t: t * (1 - t))
     r = dyda_ratio(f, theta=0.4, p=2.0)
     assert np.isfinite(r) and r > 0
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(2, 17)])
+def test_conv_matches_scipy_fftconvolve(n):
+    from scipy.signal import fftconvolve
+    rng = np.random.default_rng(n)
+    a, kern = rng.standard_normal(n), rng.standard_normal(n)
+    if n == 8:
+        # fftconvolve transforms 2n - 1 = 15 points at length 15 (its next
+        # 5-smooth size); every other n here shares _conv's power of two
+        assert np.allclose(_conv(a, kern), fftconvolve(a, kern)[:n], rtol=0, atol=1e-14 * n)
+    else:
+        assert np.array_equal(_conv(a, kern), fftconvolve(a, kern)[:n])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 1000])
+def test_conv_matches_the_direct_sum(n):
+    rng = np.random.default_rng(n)
+    a, kern = rng.standard_normal(n), rng.standard_normal(n)
+    direct = np.convolve(a, kern)[:n]
+    scale = np.abs(a).sum() * np.abs(kern).max()
+    assert np.abs(_conv(a, kern) - direct).max() <= 1e-14 * scale
+
+
+def test_derivative_overflow_is_a_refusal():
+    # finite data whose derivative series leaves the double range
+    grid = TimeGrid(1.0, 64)
+    huge = GridFunction(grid, np.full(65, 1e308))
+    with pytest.raises(NormOverflowError, match="left Weyl-Marchaud series"):
+        wm_derivative_left(huge, 0.4)
+    with pytest.raises(NormOverflowError, match="right Weyl-Marchaud series"):
+        wm_derivative_right_adjusted(GridFunction(grid, 1e308 * (grid.times - 0.5)), 0.4)

@@ -127,3 +127,13 @@ def test_rate_study_validates_meshes():
         rate_study(f, f, 0.4, [16, 32, 64])  # too few meshes
     with pytest.raises(ValueError):
         rate_study(f, f, 0.4, [3, 16, 32, 64])  # 3 does not divide 256
+
+
+def test_overflow_is_a_refusal():
+    # both derivative series are finite, their pairing is not
+    grid = TimeGrid(1.0, 64)
+    f, g = gf(lambda t: np.full_like(t, 1e300), grid), gf(lambda t: 1e300 * t, grid)
+    with pytest.raises(NormOverflowError, match="duality pairing up to t = 1 overflowed"):
+        gls_integrate(f, g, 0.4)
+    with pytest.raises(NormOverflowError, match="duality pairing"):
+        gls_integrate_series(f, g, 0.4, indices=[0, 32, 64])

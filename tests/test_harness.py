@@ -227,6 +227,32 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         assert err.startswith("config error:") and field in err, (args, err)
 
 
+def test_cli_overflow_is_a_refusal(tmp_path, capsys):
+    # finite inputs whose fractional derivative (1e308) or whose pairing
+    # (1e300 against 1e300 t) leaves the double range: exit 3, no report
+    for i, config in enumerate([
+            {"path": "linear", "N": 64, "dim": 1, "coefficient": "constant",
+             "value": 1e308, "theta": 0.4},
+            {"path": "linear", "N": 64, "dim": 1, "coefficient": "constant",
+             "value": 1e300, "velocity": [1e300], "theta": 0.4}]):
+        cfg = tmp_path / f"case_{i}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / f"case_{i}"
+        assert cli_main(["integrate", "--config", str(cfg), "--out-dir", str(out)]) \
+            == EXIT_REFUSAL, config
+        err = capsys.readouterr().err
+        assert err.startswith("refusal: NormOverflowError: "), err
+        assert not (out / "integrate_report.json").exists()
+
+
+def test_cli_threads_only_on_sweep(capsys):
+    # only sweep runs configurations at once; elsewhere --threads is unknown
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["path", "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_cli_integer_fields_accept_integral_floats(tmp_path):
     # 64.0 is the integer 64: the same path and the same rate study
     outputs = []
@@ -339,4 +365,50 @@ def test_no_module_level_scipy_submodule_import():
     src = Path(varpath.__file__).resolve().parent
     found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
              for line in _import_time_scipy_imports(path.read_text())]
+    assert found == []
+
+
+#: the scipy modules varpath may load: cdist and cKDTree for the capped
+#: potentials and regularity exponents, quad for convolution_identity_check
+SCIPY_ALLOWED = {"scipy", "scipy.spatial", "scipy.spatial.distance", "scipy.integrate"}
+
+
+def _scipy_imports(source: str) -> list:
+    """(line, module) for every scipy import at any depth, function bodies
+    included.  ``from scipy import x`` imports the submodule scipy.x; a
+    deeper ``from scipy.a import x`` is listed as scipy.a."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "scipy":
+            if node.module == "scipy":
+                found += [(node.lineno, f"scipy.{a.name}") for a in node.names]
+            else:
+                found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+def test_scipy_imports_detected():
+    source = ("import scipy\nimport numpy, scipy.linalg\nfrom scipy import integrate, ndimage\n"
+              "def f():\n    from scipy.spatial.distance import cdist\n"
+              "    if cdist:\n        from scipy.signal import convolve\n"
+              "class K:\n    def m(self):\n        import scipy.fft as F\n")
+    found = _scipy_imports(source)
+    assert found == [(1, "scipy"), (2, "scipy.linalg"), (3, "scipy.integrate"),
+                     (3, "scipy.ndimage"), (5, "scipy.spatial.distance"),
+                     (7, "scipy.signal"), (10, "scipy.fft")]
+    assert [m for _, m in found if m not in SCIPY_ALLOWED] == [
+        "scipy.linalg", "scipy.ndimage", "scipy.signal", "scipy.fft"]
+
+
+def test_scipy_imports_stay_in_the_allowlist():
+    # scipy.signal alone costs over a second of import and pulls in stats,
+    # optimize, interpolate, fft and ndimage; numpy does the convolutions
+    src = Path(varpath.__file__).resolve().parent
+    found = [f"{path.name}:{line} {module}" for path in sorted(src.glob("*.py"))
+             for line, module in _scipy_imports(path.read_text())
+             if module not in SCIPY_ALLOWED]
     assert found == []

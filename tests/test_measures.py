@@ -77,7 +77,7 @@ def test_potential_many_matches_scalar(rng):
     assert many.shape == (17,)
     assert np.allclose(many, [riesz_potential(mu, pol, x) for x in xs], rtol=1e-12, atol=0)
     # several orders on one cap radius: one row per policy, each the
-    # scalar loop; h = 0 with a query point on an atom gives the sentinel
+    # scalar loop; h = 0 with a query point on an atom gives +inf
     xs[3] = mu.locations[5]
     for h in (0.02, 0.0):
         pols = [KernelPolicy(gamma=g, cap_radius=h) for g in (0.2, 0.6, 1.3)]
@@ -184,9 +184,9 @@ def test_local_time_density_mass():
 
 
 def test_convolution_scaling_identity():
-    # derived with half_width 2e4: residuals 0.0050 and 0.0074
-    assert convolution_identity_check(0.3, 0.4, y=2.0, half_width=2e4) < 0.01
-    assert convolution_identity_check(0.25, 0.5, y=2.0, half_width=2e4) < 0.01
+    # residuals 0.0050 and 0.0074 (quadrature half-width 2e4)
+    assert convolution_identity_check(0.3, 0.4, y=2.0) < 0.01
+    assert convolution_identity_check(0.25, 0.5, y=2.0) < 0.01
 
 
 def test_csv_roundtrip(tmp_path, rng):
@@ -235,6 +235,29 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
             assert "cross-derivative symmetry" in str(exc)
         """) + SCIPY_LOADED
     assert _fresh_process(solve).strip() == "[]"
+
+
+def test_pairing_residual_and_validate_leave_scipy_signal_unloaded():
+    # the fractional convolutions run on numpy's FFT: a pairing, a Doss
+    # residual (classifier precondition included) and the validate suite
+    # load no scipy.signal
+    code = textwrap.dedent("""\
+        import sys, tempfile
+        import numpy as np
+        from varpath import (GridFunction, TimeGrid, build_solution, closed_form_maps,
+                             gls_integrate, jump_line_matrix, make_fbm, residual)
+        from varpath.harness import run_validate
+        grid = TimeGrid(1.0, 4096)
+        t = GridFunction(grid, grid.times.copy())
+        assert abs(gls_integrate(t, t, 0.4) - 0.5) < 1e-4
+        Y = make_fbm(0.75, 2, TimeGrid(1.0, 1024), seed=0)
+        x0 = np.array([1.0, 1.0])
+        X = build_solution(closed_form_maps("jump_line", c=2.0), Y, x0)
+        assert residual(X, jump_line_matrix(2.0), Y, x0, 0.3, s=0.45, n_checkpoints=8).sup < 0.1
+        assert run_validate({}, 0, tempfile.mkdtemp()) == 0
+        print("scipy.signal" in sys.modules)
+        """)
+    assert _fresh_process(code).strip() == "False"
 
 
 def test_first_classify_in_a_fresh_process_matches_in_process():
