@@ -24,8 +24,8 @@ from .measures import (DiscreteMeasure, KernelPolicy, occupation_measure,
                        riesz_potential, riesz_potential_many, mutual_energy,
                        fractional_maximal, upper_regularity_exponent,
                        local_time_density)
-from .bv_library import (ScalarBV, MatrixBV, constant_scalar, cantor_coefficient,
-                         jump_line_matrix, cone_matrix, cantor_matrix,
+from .bv_library import (AtomBudgetRefusal, ScalarBV, MatrixBV, constant_scalar,
+                         cantor_coefficient, jump_line_matrix, cone_matrix, cantor_matrix,
                          cayley_inverse, curl_check, distortion_check)
 from .variability import (VariabilityParams, VariabilityReport,
                           VariabilityRefusal, classify, require_finite,

@@ -30,6 +30,7 @@ import numpy as np
 from .measures import DiscreteMeasure
 
 LOG2_OVER_LOG3 = np.log(2.0) / np.log(3.0)  # Cantor measure dimension
+MAX_ATOMS = 2 ** 22  # most atoms one gradient measure may hold (see _check_atoms)
 LIPSCHITZ_CELLS = 256  # most cells per box side in lipschitz_wrap's measure
 DISTORTION_DIRECTIONS = 720  # unit-sphere sample of distortion_check
 
@@ -216,10 +217,31 @@ def constant_scalar(value: float, dim: int, name: str = "") -> ScalarBV:
                     name=name or f"const({value})")
 
 
+class AtomBudgetRefusal(RuntimeError):
+    """A gradient measure would hold more than MAX_ATOMS atoms."""
+
+
+def _check_atoms(name: str, level: int, count: float) -> None:
+    """Refuse, before anything is allocated, a measure of up to ``count``
+    atoms (a float, inf when the box or the level overflows) beyond
+    MAX_ATOMS.  A path
+    with a huge range inflates the box that the grids cover, and a high
+    level refines them: 2**22 atoms already take 96 MiB in the plane."""
+    if not count <= MAX_ATOMS:
+        raise AtomBudgetRefusal(
+            f"gradient measure of {name!r} at level {level} needs up to {count:.4g} atoms, "
+            f"over the budget of {MAX_ATOMS} (MAX_ATOMS)")
+
+
+def _cell_count(lo: float, hi: float, spacing: float) -> float:
+    """Number of cells of _lateral_grid(lo, hi, spacing), as a float."""
+    return max(1.0, np.ceil((hi - lo) / spacing))
+
+
 def _lateral_grid(lo: float, hi: float, spacing: float) -> tuple[np.ndarray, float]:
     """Midpoint grid on [lo, hi] with cells of width <= spacing; returns
     (centers, cell width)."""
-    n = max(1, int(np.ceil((hi - lo) / spacing)))
+    n = int(_cell_count(lo, hi, spacing))
     w = (hi - lo) / n
     return lo + (np.arange(n) + 0.5) * w, w
 
@@ -239,6 +261,8 @@ def cantor_coefficient(dim: int) -> ScalarBV:
         box = np.asarray(box, dtype=float).reshape(dim, 2)
         h = level_scale(level)
         depth = int(np.ceil(level * LOG2_OVER_LOG3)) + 1
+        _check_atoms("cantor", level, np.exp2(depth) * np.prod(
+            [_cell_count(box[d, 0], box[d, 1], h) for d in range(1, dim)]))
         atoms = cantor_level_atoms(depth)
         weights = np.full(len(atoms), 2.0 ** (-depth))
         keep = (atoms >= box[0, 0] - 3.0 ** (-depth)) & (atoms <= box[0, 1])
@@ -310,9 +334,10 @@ def indicator_disk(center, radius: float) -> ScalarBV:
 
 
 def _segment_measure(p0: np.ndarray, p1: np.ndarray, box: np.ndarray, level: int,
-                     density: float, dim: int) -> DiscreteMeasure:
+                     density: float, dim: int, name: str) -> DiscreteMeasure:
     """Arclength measure with the given density on the segment [p0, p1]
-    clipped to the box, discretized at arclength spacing 2**-level."""
+    clipped to the box, discretized at arclength spacing 2**-level; ``name``
+    is the coefficient's, for a refusal."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     box = np.asarray(box, dtype=float).reshape(dim, 2)
@@ -330,7 +355,9 @@ def _segment_measure(p0: np.ndarray, p1: np.ndarray, box: np.ndarray, level: int
     if t_hi <= t_lo:
         return DiscreteMeasure(dim, np.zeros((0, dim)), np.zeros(0))
     seg_len = np.linalg.norm(d) * (t_hi - t_lo)
-    M = max(2, int(np.ceil(seg_len / level_scale(level))))
+    M = max(2.0, np.ceil(seg_len / level_scale(level)))
+    _check_atoms(name, level, M)
+    M = int(M)
     ts = t_lo + (t_hi - t_lo) * (np.arange(M) + 0.5) / M
     loc = p0[None, :] + ts[:, None] * d[None, :]
     w = np.full(M, density * seg_len / M)
@@ -340,6 +367,7 @@ def _segment_measure(p0: np.ndarray, p1: np.ndarray, box: np.ndarray, level: int
 def halfplane_below_line(c: float) -> ScalarBV:
     """Indicator of {c*x1 < x2} in the plane; gradient measure = arclength
     on the line x2 = c*x1 inside the requested box."""
+    name = f"halfplane(c={c})"
 
     def ev(pts):
         pts = np.atleast_2d(pts)
@@ -352,9 +380,9 @@ def halfplane_below_line(c: float) -> ScalarBV:
         span = max(abs(box).max(), 1.0) * 2.0
         p0 = np.array([-span, -c * span])
         p1 = np.array([span, c * span])
-        return _segment_measure(p0, p1, box, level, density=1.0, dim=2)
+        return _segment_measure(p0, p1, box, level, density=1.0, dim=2, name=name)
 
-    return ScalarBV(2, ev, grad, sup_bound=1.0, name=f"halfplane(c={c})")
+    return ScalarBV(2, ev, grad, sup_bound=1.0, name=name)
 
 
 def jump_line_matrix(c: float) -> MatrixBV:
@@ -372,6 +400,7 @@ def jump_line_matrix(c: float) -> MatrixBV:
 def cone_indicator(a: float, b: float) -> ScalarBV:
     """Indicator of the open cone {(a/b) x1 < x2 < (b/a) x1} (x1 > 0);
     gradient measure = arclength on the two boundary rays."""
+    name = f"cone({a},{b})"
 
     def ev(pts):
         pts = np.atleast_2d(pts)
@@ -389,12 +418,12 @@ def cone_indicator(a: float, b: float) -> ScalarBV:
         parts = []
         for slope in (a / b, b / a):
             parts.append(_segment_measure(np.zeros(2), np.array([span, slope * span]),
-                                          box, level, density=1.0, dim=2))
+                                          box, level, density=1.0, dim=2, name=name))
         loc = np.vstack([p.locations for p in parts])
         w = np.concatenate([p.weights for p in parts])
         return DiscreteMeasure(2, loc, w)
 
-    return ScalarBV(2, ev, grad, sup_bound=1.0, name=f"cone({a},{b})")
+    return ScalarBV(2, ev, grad, sup_bound=1.0, name=name)
 
 
 def cone_matrix(a: float, b: float) -> MatrixBV:
@@ -432,7 +461,7 @@ def halfplane_x1_positive() -> ScalarBV:
         box = np.asarray(box, dtype=float).reshape(2, 2)
         span = max(abs(box).max(), 1.0) * 2.0
         return _segment_measure(np.array([0.0, -span]), np.array([0.0, span]),
-                                box, level, density=1.0, dim=2)
+                                box, level, density=1.0, dim=2, name="halfplane_x1")
 
     return ScalarBV(2, ev, grad, sup_bound=1.0, name="halfplane_x1")
 
@@ -452,6 +481,8 @@ def cantor_shear_entry22() -> ScalarBV:
         box = np.asarray(box, dtype=float).reshape(2, 2)
         h = level_scale(level)
         depth = int(np.ceil(level * LOG2_OVER_LOG3)) + 1
+        # each x1 cell scans every Cantor atom
+        _check_atoms("cantor_shear_22", level, np.exp2(depth) * _cell_count(box[0, 0], box[0, 1], h))
         base = cantor_cumulative(cantor_level_atoms(depth))  # atoms in w
         mass = 2.0 ** (-depth)
         centers, cw = _lateral_grid(box[0, 0], box[0, 1], h)

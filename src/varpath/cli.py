@@ -6,7 +6,8 @@ matching harness runner, and writes artifacts plus a manifest to --out-dir.
 
 Exit codes: 0 ok, 2 config error, 3 numerical refusal (a precondition of
 the mathematics failed, e.g. the variability classifier returned
-"diverging"), 4 acceptance failure.
+"diverging", or a gradient measure would exceed its atom budget),
+4 acceptance failure.
 """
 
 from __future__ import annotations
@@ -16,12 +17,9 @@ import json
 import os
 import sys
 
-from .doss import SolveRefusal
-from .gls_integral import NormOverflowError
-from .harness import (EXIT_CONFIG, EXIT_REFUSAL, ConfigError, run_integrate,
+from .harness import (EXIT_CONFIG, EXIT_REFUSAL, REFUSALS, ConfigError, run_integrate,
                       run_path, run_solve, run_sweep, run_validate,
                       run_variability)
-from .variability import VariabilityRefusal
 
 
 def _add_common(sub):
@@ -146,7 +144,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (VariabilityRefusal, SolveRefusal, NormOverflowError) as exc:
+    except REFUSALS as exc:
         print(f"refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
 

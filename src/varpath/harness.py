@@ -21,8 +21,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bv_library import (MatrixBV, ScalarBV, cantor_coefficient, cantor_matrix,
-                         cone_matrix, constant_scalar, jump_line_matrix)
+from .bv_library import (AtomBudgetRefusal, MatrixBV, ScalarBV, cantor_coefficient,
+                         cantor_matrix, cone_matrix, constant_scalar, jump_line_matrix)
 from .doss import (SolveRefusal, build_solution, closed_form_maps, residual,
                    uniqueness_check)
 from .gls_integral import NormOverflowError, gls_integrate, rate_study
@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_REFUSAL = 3
 EXIT_FAILURE = 4
+
+# principled refusals: a precondition of the mathematics or of the budget failed
+REFUSALS = (VariabilityRefusal, SolveRefusal, NormOverflowError, AtomBudgetRefusal)
 
 
 class ConfigError(ValueError):
@@ -362,7 +365,7 @@ def _sweep_cell(runner: Callable, base: dict, cell: dict, master_seed: int,
     row = {"index": index, "cell": cell, "seed": cell_seed}
     try:
         row["exit"] = runner(config, cell_seed, cell_dir)
-    except (VariabilityRefusal, SolveRefusal, NormOverflowError) as exc:
+    except REFUSALS as exc:
         row["exit"] = EXIT_REFUSAL
         row["error"] = f"{type(exc).__name__}: {exc}"
     except ConfigError as exc:

@@ -9,7 +9,8 @@ The capped-potential engine, riesz_potential_many, splits its query points
 into distance blocks of a fixed size and evaluates them on a shared thread
 pool with one worker per usable CPU.  Block boundaries do not depend on the
 worker count and every block writes only its own entries, so the results
-are bit-identical for any number of threads.
+are bit-identical for any number of threads.  The engine forms its
+distances in numpy, so no potential evaluation loads scipy.
 """
 
 from __future__ import annotations
@@ -24,14 +25,10 @@ import numpy as np
 
 from .grid_paths import SampledPath
 
-#: query-atom pairs per distance block of riesz_potential_many: 2 MiB of
-#: doubles, so a block and its kernel values stay in cache
+#: query-atom pairs per distance block of riesz_potential_many; a block
+#: holds two arrays of that many doubles (2 MiB each), its log-distances
+#: and one order's kernel values
 KERNEL_BLOCK_PAIRS = 2 ** 18
-
-#: scipy.spatial.distance.cdist, bound by the first riesz_potential_many call:
-#: importing scipy.spatial costs about 0.5 s, which a process that never
-#: evaluates a potential should not pay
-cdist = None
 
 CONVOLUTION_Y_REF = 1.0  # calibration point of convolution_identity_check
 CONVOLUTION_HALF_WIDTH = 2e4  # R of its quadrature over [-R, R + y]
@@ -140,6 +137,28 @@ def riesz_potential(mu: DiscreteMeasure, policy: KernelPolicy, x: np.ndarray) ->
     return float(np.dot(mu.weights, k))
 
 
+def _kernel_block(q: np.ndarray, atoms: np.ndarray, weights: np.ndarray, h: float,
+                  expo: list, out: np.ndarray) -> None:
+    """Capped kernel sums of the query rows q (r, n) against atoms given
+    coordinate-major, (n, m): out[j] = sum_i w_i max(|q - a_i|, h)^expo[j].
+
+    The distance is the square root of sum_k (q_k - a_k)^2, accumulated in
+    k order, as scipy's cdist forms it.  numpy only: a worker thread never
+    calls into varpath.
+    """
+    d = np.subtract(q[:, :1], atoms[0])
+    k = np.empty_like(d)
+    # a distance beyond the double range is inf, and its kernel value 0;
+    # h = 0 on an atom, or within about 1e-162 of one (d^2 underflows): +inf
+    with np.errstate(over="ignore", divide="ignore"):
+        np.square(d, out=d)
+        for c in range(1, len(atoms)):
+            d += np.square(np.subtract(q[:, c:c + 1], atoms[c], out=k), out=k)
+        logd = np.log(np.maximum(np.sqrt(d, out=d), h, out=d), out=d)
+    for j, e in enumerate(expo):
+        out[j] = np.exp(np.multiply(logd, e, out=k), out=k) @ weights
+
+
 def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndarray:
     """Vectorized riesz_potential over rows of xs (m, n).
 
@@ -151,11 +170,10 @@ def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndar
 
     A block holds KERNEL_BLOCK_PAIRS // n_atoms query rows.  With two or
     more blocks, they run on the shared pool of KERNEL_WORKERS threads
-    (numpy and cdist release the interpreter lock); each block writes only
-    its own columns of the result, with the same operations as inline, so
-    the result does not depend on the number of threads.
+    (numpy releases the interpreter lock); each block writes only its own
+    columns of the result, with the same operations as inline, so the
+    result does not depend on the number of threads.
     """
-    global cdist
     policies = [policy] if isinstance(policy, KernelPolicy) else list(policy)
     for pol in policies:
         pol.validate(mu.dim)
@@ -165,20 +183,13 @@ def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndar
     xs = np.asarray(xs, dtype=float).reshape(-1, mu.dim)
     out = np.zeros((len(policies), len(xs)))
     if mu.n_atoms:
-        if cdist is None:  # on the caller's thread: a worker never imports
-            from scipy.spatial.distance import cdist
+        atoms = np.ascontiguousarray(mu.locations.T)
         expo = [pol.gamma - mu.dim for pol in policies]
         chunk = max(1, KERNEL_BLOCK_PAIRS // mu.n_atoms)
 
         def block(lo):
-            # numpy and scipy only: a worker thread never calls into varpath
-            with np.errstate(divide="ignore"):  # h = 0 on an atom: +inf
-                d = cdist(xs[lo:lo + chunk], mu.locations)
-                np.maximum(d, h, out=d)
-                logd = np.log(d, out=d)
-                k = np.empty_like(logd)
-                for j, e in enumerate(expo):
-                    out[j, lo:lo + chunk] = np.exp(np.multiply(logd, e, out=k), out=k) @ mu.weights
+            _kernel_block(xs[lo:lo + chunk], atoms, mu.weights, h, expo,
+                          out[:, lo:lo + chunk])
 
         starts = range(0, len(xs), chunk)
         if len(starts) > 1 and KERNEL_WORKERS > 1:
@@ -235,7 +246,7 @@ def upper_regularity_exponent(mu: DiscreteMeasure, radii: Sequence[float]) -> Re
         raise ValueError("need at least 3 radii")
     if mu.n_atoms == 0:
         raise ValueError("empty measure")
-    from scipy.spatial import cKDTree  # loaded here: see cdist
+    from scipy.spatial import cKDTree  # loaded here: about 0.5 s and 33 MiB
 
     tree = cKDTree(mu.locations)
     sups = np.empty(len(radii))

@@ -196,7 +196,10 @@ def require_finite(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
     report = classify(path, phi, params)
     if report.verdict == "diverging":
         raise VariabilityRefusal(
-            f"variability classifier returned 'diverging'{' for ' + context if context else ''}",
+            f"variability classifier returned 'diverging'{' for ' + context if context else ''}: "
+            f"growth exponent {report.growth_exponent:.4f} > {DIVERGENCE_THRESHOLD:.2f}, "
+            f"R² {report.r_squared:.3f} ≥ {R_SQUARED_FLOOR:g}, "
+            f"max log residual {report.max_log_residual:.3f} ≤ {LOG_RESIDUAL_CAP:g}",
             report)
     return report
 

@@ -45,24 +45,24 @@ def small_grid():
 def kernel_workers(monkeypatch):
     """``run(workers, fn)`` calls fn on a fresh kernel pool of the given size
     and returns fn's result and the names of the threads that computed
-    distance blocks.  The interpreter's switch interval is shortened
-    meanwhile, so threads interleave as often as they can."""
-    from scipy.spatial.distance import cdist as real_cdist
-
+    distance blocks (the callers of ``measures._kernel_block``, which the
+    engine looks up as a module global).  The interpreter's switch interval
+    is shortened meanwhile, so threads interleave as often as they can."""
     from varpath import measures
 
+    real_block = measures._kernel_block
     interval = sys.getswitchinterval()
 
     def run(workers, fn):
         threads = set()
 
-        def cdist(*args):
+        def block(*args):
             threads.add(threading.current_thread().name)
-            return real_cdist(*args)
+            return real_block(*args)
 
         monkeypatch.setattr(measures, "KERNEL_WORKERS", workers)
         monkeypatch.setattr(measures, "_pool", None)
-        monkeypatch.setattr(measures, "cdist", cdist)
+        monkeypatch.setattr(measures, "_kernel_block", block)
         sys.setswitchinterval(1e-5)
         try:
             return fn(), threads

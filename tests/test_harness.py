@@ -245,6 +245,27 @@ def test_cli_overflow_is_a_refusal(tmp_path, capsys):
         assert not (out / "integrate_report.json").exists()
 
 
+def test_cli_huge_gradient_measure_is_a_refusal(tmp_path, capsys):
+    # a path with a huge range inflates the box that the Cantor measure's
+    # lateral grid covers, and a huge level refines it: refused before the
+    # grid is allocated (velocity 1e5 and level 2000 used to exhaust memory,
+    # 1e300 to end in numpy's "Maximum allowed size exceeded")
+    for i, (config, level) in enumerate([
+            ({"path": "linear", "N": 64, "velocity": [1e5, 1e5]}, 5),
+            ({"path": "linear", "N": 64, "velocity": [1e300, 1e300]}, 5),
+            ({"path": "fbm", "hurst": 0.7, "N": 64, "levels": [5, 2000]}, 2000)]):
+        cfg = tmp_path / f"case_{i}.json"
+        cfg.write_text(json.dumps(dict(config, coefficient="cantor", s=0.5)))
+        out = tmp_path / f"case_{i}"
+        assert cli_main(["variability", "--config", str(cfg), "--out-dir", str(out)]) \
+            == EXIT_REFUSAL, config
+        err = capsys.readouterr().err
+        assert err.startswith("refusal: AtomBudgetRefusal: gradient measure of 'cantor' "
+                              f"at level {level} needs up to "), err
+        assert "over the budget of 4194304 (MAX_ATOMS)" in err, err
+        assert not (out / "variability_report.json").exists()
+
+
 def test_cli_threads_only_on_sweep(capsys):
     # only sweep runs configurations at once; elsewhere --threads is unknown
     with pytest.raises(SystemExit) as exc:
@@ -368,9 +389,9 @@ def test_no_module_level_scipy_submodule_import():
     assert found == []
 
 
-#: the scipy modules varpath may load: cdist and cKDTree for the capped
-#: potentials and regularity exponents, quad for convolution_identity_check
-SCIPY_ALLOWED = {"scipy", "scipy.spatial", "scipy.spatial.distance", "scipy.integrate"}
+#: the scipy modules varpath may load: cKDTree for the regularity exponents,
+#: quad for convolution_identity_check
+SCIPY_ALLOWED = {"scipy", "scipy.spatial", "scipy.integrate"}
 
 
 def _scipy_imports(source: str) -> list:
@@ -401,7 +422,7 @@ def test_scipy_imports_detected():
                      (3, "scipy.ndimage"), (5, "scipy.spatial.distance"),
                      (7, "scipy.signal"), (10, "scipy.fft")]
     assert [m for _, m in found if m not in SCIPY_ALLOWED] == [
-        "scipy.linalg", "scipy.ndimage", "scipy.signal", "scipy.fft"]
+        "scipy.linalg", "scipy.ndimage", "scipy.spatial.distance", "scipy.signal", "scipy.fft"]
 
 
 def test_scipy_imports_stay_in_the_allowlist():

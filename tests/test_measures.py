@@ -260,10 +260,36 @@ def test_pairing_residual_and_validate_leave_scipy_signal_unloaded():
     assert _fresh_process(code).strip() == "False"
 
 
+def test_classifier_leaves_scipy_spatial_unloaded():
+    # the capped kernel forms its distances in numpy: a criterion 6 sweep, a
+    # cantor_shear residual (its classifier precondition included) and the
+    # README variability command load no scipy.spatial
+    code = textwrap.dedent("""\
+        import sys, tempfile
+        import numpy as np
+        from varpath import (TimeGrid, VariabilityParams, build_solution, cantor_coefficient,
+                             cantor_matrix, closed_form_maps, make_fbm, residual)
+        from varpath.harness import run_variability
+        from varpath.variability import classify_sweep
+        reps = classify_sweep(make_fbm(0.7, 2, TimeGrid(1.0, 512), seed=4), cantor_coefficient(2),
+                              (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
+                              VariabilityParams(s=0.5, p=1.0, levels=(4, 6, 8)))
+        assert len(reps) == 7
+        Y = make_fbm(0.8, 2, TimeGrid(1.0, 1024), seed=0)
+        x0 = np.array([0.3, 0.4])
+        X = build_solution(closed_form_maps("cantor_shear"), Y, x0)
+        assert residual(X, cantor_matrix(), Y, x0, 0.3, s=0.45, n_checkpoints=32).sup < 0.1
+        assert run_variability({"path": "fbm", "hurst": 0.7, "N": 512, "dim": 2,
+                                "coefficient": "cantor", "s": 0.8}, 0, tempfile.mkdtemp()) == 0
+        print("scipy.spatial" in sys.modules)
+        """)
+    assert _fresh_process(code).strip() == "False"
+
+
 def test_first_classify_in_a_fresh_process_matches_in_process():
-    # a new process binds cdist at its first kernel call, on the calling
-    # thread; the level-7 call then sends four distance blocks (7,008
-    # atoms, 37 of the 129 path points per block) to the pool
+    # the first kernel call of a new process starts the pool: the level-7
+    # call sends four distance blocks (7,008 atoms, 37 of the 129 path
+    # points per block) to it
     call = ("classify(make_fbm(0.7, 2, TimeGrid(1.0, 128), seed=4), cantor_coefficient(2), "
             "VariabilityParams(s=0.5, p=1.0, levels=(5, 6, 7))).to_dict()")
     fresh, workers, pooled = json.loads(_fresh_process(

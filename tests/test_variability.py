@@ -106,7 +106,11 @@ def test_require_finite_raises_with_report():
     path = make_fbm(0.7, 2, GRID, seed=1)
     with pytest.raises(VariabilityRefusal) as exc:
         require_finite(path, halfplane_x1_positive(), PARAMS_HI)
-    assert exc.value.report.verdict == "diverging"
+    rep = exc.value.report
+    assert rep.verdict == "diverging"
+    # the refusal names each number of the fit against its threshold
+    assert (f"growth exponent {rep.growth_exponent:.4f} > 0.10, R² {rep.r_squared:.3f} ≥ 0.9, "
+            f"max log residual {rep.max_log_residual:.3f} ≤ 0.5") in str(exc.value)
 
 
 def test_inflated_box_contains_range():
