@@ -21,16 +21,15 @@ from .grid_paths import (TimeGrid, SampledPath, make_fbm, make_power_path,
                          make_linear_path, make_constant_path, estimate_holder)
 from .gridfun import GridFunction
 from .measures import (DiscreteMeasure, KernelPolicy, occupation_measure,
-                       riesz_potential, riesz_potential_many, mutual_energy,
-                       fractional_maximal, upper_regularity_exponent,
-                       local_time_density)
+                       riesz_potential_many, mutual_energy, fractional_maximal,
+                       upper_regularity_exponent)
 from .bv_library import (AtomBudgetRefusal, ScalarBV, MatrixBV, constant_scalar,
                          cantor_coefficient, jump_line_matrix, cone_matrix, cantor_matrix,
                          cayley_inverse, curl_check, distortion_check)
 from .variability import (VariabilityParams, VariabilityReport,
                           VariabilityRefusal, classify, require_finite,
                           compose, fbm_energy_bound)
-from .frac_calc import (rl_integral_left, rl_integral_right, wm_derivative_left,
+from .frac_calc import (rl_integral_left, wm_derivative_left,
                         wm_derivative_right_adjusted, norm_W0, norm_WT)
 from .gls_integral import (NormOverflowError, gls_integrate,
                            gls_integrate_series, riemann_sum, rate_study)

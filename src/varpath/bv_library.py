@@ -8,16 +8,16 @@ read.  At integer ``level`` the measure resolves spatial scale
 ``2**-level``, which is also the classifier's cap radius at that level.
 
 Included: the Cantor staircase coefficient, indicator coefficients
-(interval, disk, half-plane, cone), ``lipschitz_wrap(f, dim)``,
-piecewise-constant matrix coefficients (jump line, cone, Cantor shear),
-mollification by a flat bump, and structural checks (curl residual of the
-inverse field, distortion/angular constants).
+(half-plane, cone), piecewise-constant matrix coefficients (jump line,
+cone, Cantor shear), and structural checks (curl residual of the inverse
+field, distortion/angular constants).
 
 Every matrix inverse and determinant in the package comes from one batched
 routine, ``batch_inverse``, which inverts a stack (m, n, n) in one pass (the
 adjugate in closed form for n = 2, the Faddeev-LeVerrier recursion
-otherwise) and applies the determinant floor; ``cayley_inverse`` and
-``matrix_det`` wrap it, and ``curl_check`` inverts its grid with it.
+otherwise) and applies no floor; ``cayley_inverse`` wraps it for one
+matrix, and ``curl_check`` inverts its grid with it and reports the least
+determinant.  The one determinant floor, ``doss.DET_FLOOR``, is doss's.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .measures import DiscreteMeasure
 
 LOG2_OVER_LOG3 = np.log(2.0) / np.log(3.0)  # Cantor measure dimension
 MAX_ATOMS = 2 ** 22  # most atoms one gradient measure may hold (see _check_atoms)
-LIPSCHITZ_CELLS = 256  # most cells per box side in lipschitz_wrap's measure
 DISTORTION_DIRECTIONS = 720  # unit-sphere sample of distortion_check
 
 
@@ -238,6 +237,16 @@ def _cell_count(lo: float, hi: float, spacing: float) -> float:
     return max(1.0, np.ceil((hi - lo) / spacing))
 
 
+def _cantor_atoms(depth: int, box: np.ndarray, axes, spacing: float) -> float:
+    """Atoms of the depth-``depth`` Cantor measure times a lateral grid of
+    the given spacing over the box's ``axes``, as a float: inf, with no
+    warning, where the depth or the box overflows or the spacing underflows
+    to 0 (from level 1075 on)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.exp2(depth) * np.prod([_cell_count(box[d, 0], box[d, 1], spacing)
+                                         for d in axes])
+
+
 def _lateral_grid(lo: float, hi: float, spacing: float) -> tuple[np.ndarray, float]:
     """Midpoint grid on [lo, hi] with cells of width <= spacing; returns
     (centers, cell width)."""
@@ -261,8 +270,7 @@ def cantor_coefficient(dim: int) -> ScalarBV:
         box = np.asarray(box, dtype=float).reshape(dim, 2)
         h = level_scale(level)
         depth = int(np.ceil(level * LOG2_OVER_LOG3)) + 1
-        _check_atoms("cantor", level, np.exp2(depth) * np.prod(
-            [_cell_count(box[d, 0], box[d, 1], h) for d in range(1, dim)]))
+        _check_atoms("cantor", level, _cantor_atoms(depth, box, range(1, dim), h))
         atoms = cantor_level_atoms(depth)
         weights = np.full(len(atoms), 2.0 ** (-depth))
         keep = (atoms >= box[0, 0] - 3.0 ** (-depth)) & (atoms <= box[0, 1])
@@ -281,56 +289,6 @@ def cantor_coefficient(dim: int) -> ScalarBV:
         return DiscreteMeasure(dim, loc, w)
 
     return ScalarBV(dim, ev, grad, sup_bound=1.0, name="cantor")
-
-
-def indicator_interval(a: float, b: float) -> ScalarBV:
-    """1D indicator of (a,b): gradient measure is a unit atom at each endpoint."""
-    if not a < b:
-        raise ValueError("need a < b")
-
-    def ev(pts):
-        x = np.atleast_2d(pts)[:, 0]
-        out = np.where((x > a) & (x < b), 1.0, 0.0)
-        out = np.where((x == a) | (x == b), 0.5, out)
-        return out
-
-    def grad(box, level):
-        box = np.asarray(box, dtype=float).reshape(1, 2)
-        locs, ws = [], []
-        for pt in (a, b):
-            if box[0, 0] <= pt <= box[0, 1]:
-                locs.append([pt])
-                ws.append(1.0)
-        return DiscreteMeasure(1, np.asarray(locs).reshape(-1, 1), np.asarray(ws))
-
-    return ScalarBV(1, ev, grad, sup_bound=1.0, name="indicator_interval")
-
-
-def indicator_disk(center, radius: float) -> ScalarBV:
-    """Indicator of an open disk in the plane; boundary value 1/2; gradient
-    measure = arclength on the circle, discretized by equally spaced atoms."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=float).reshape(2)
-
-    def ev(pts):
-        pts = np.atleast_2d(pts)
-        d = np.linalg.norm(pts - center, axis=1)
-        out = np.where(d < radius, 1.0, 0.0)
-        out = np.where(d == radius, 0.5, out)
-        return out
-
-    def grad(box, level):
-        box = np.asarray(box, dtype=float).reshape(2, 2)
-        perimeter = 2.0 * np.pi * radius
-        M = max(8, int(np.ceil(perimeter / level_scale(level))))
-        ang = 2.0 * np.pi * (np.arange(M) + 0.5) / M
-        loc = center[None, :] + radius * np.column_stack([np.cos(ang), np.sin(ang)])
-        w = np.full(M, perimeter / M)
-        keep = np.all((loc >= box[:, 0][None, :]) & (loc <= box[:, 1][None, :]), axis=1)
-        return DiscreteMeasure(2, loc[keep], w[keep])
-
-    return ScalarBV(2, ev, grad, sup_bound=1.0, name="indicator_disk")
 
 
 def _segment_measure(p0: np.ndarray, p1: np.ndarray, box: np.ndarray, level: int,
@@ -354,8 +312,9 @@ def _segment_measure(p0: np.ndarray, p1: np.ndarray, box: np.ndarray, level: int
             return DiscreteMeasure(dim, np.zeros((0, dim)), np.zeros(0))
     if t_hi <= t_lo:
         return DiscreteMeasure(dim, np.zeros((0, dim)), np.zeros(0))
-    seg_len = np.linalg.norm(d) * (t_hi - t_lo)
-    M = max(2.0, np.ceil(seg_len / level_scale(level)))
+    with np.errstate(over="ignore", divide="ignore"):  # inf: refused just below
+        seg_len = np.linalg.norm(d) * (t_hi - t_lo)
+        M = max(2.0, np.ceil(seg_len / level_scale(level)))
     _check_atoms(name, level, M)
     M = int(M)
     ts = t_lo + (t_hi - t_lo) * (np.arange(M) + 0.5) / M
@@ -387,7 +346,7 @@ def halfplane_below_line(c: float) -> ScalarBV:
 
 def jump_line_matrix(c: float) -> MatrixBV:
     """2x2 coefficient [[c, 1], [indicator(c*x1 < x2), c]]; determinant is
-    c^2 above the jump line and c^2 - 1 at or below it."""
+    c^2 - 1 above the jump line x2 = c*x1, c^2 - 1/2 on it and c^2 below."""
     if not c > 1:
         raise ValueError("need c > 1")
     e = (
@@ -482,7 +441,7 @@ def cantor_shear_entry22() -> ScalarBV:
         h = level_scale(level)
         depth = int(np.ceil(level * LOG2_OVER_LOG3)) + 1
         # each x1 cell scans every Cantor atom
-        _check_atoms("cantor_shear_22", level, np.exp2(depth) * _cell_count(box[0, 0], box[0, 1], h))
+        _check_atoms("cantor_shear_22", level, _cantor_atoms(depth, box, [0], h))
         base = cantor_cumulative(cantor_level_atoms(depth))  # atoms in w
         mass = 2.0 ** (-depth)
         centers, cw = _lateral_grid(box[0, 0], box[0, 1], h)
@@ -513,44 +472,8 @@ def cantor_matrix() -> MatrixBV:
     return MatrixBV(2, e, name="cantor_shear")
 
 
-def lipschitz_wrap(f: Callable, dim: int) -> ScalarBV:
-    """Wrap a smooth scalar map on R^dim; gradient measure = |grad f| times
-    volume, discretized on a cell grid (cell volume times the central-
-    difference gradient magnitude at the center)."""
-
-    def ev(pts):
-        pts = np.atleast_2d(pts)
-        return np.asarray(f(pts), dtype=float)
-
-    def gnorm(pts):
-        eps = 1e-6
-        acc = np.zeros(len(pts))
-        for k in range(dim):
-            step = np.zeros(dim)
-            step[k] = eps
-            acc += ((ev(pts + step) - ev(pts - step)) / (2 * eps)) ** 2
-        return np.sqrt(acc)
-
-    def grad(box, level):
-        box = np.asarray(box, dtype=float).reshape(dim, 2)
-        axes, widths = [], []
-        for k in range(dim):
-            spacing = max(level_scale(level), (box[k, 1] - box[k, 0]) / LIPSCHITZ_CELLS)
-            cs, w = _lateral_grid(box[k, 0], box[k, 1], spacing)
-            axes.append(cs)
-            widths.append(w)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        loc = np.column_stack([m.ravel() for m in mesh])
-        vol = float(np.prod(widths))
-        w = vol * gnorm(loc)
-        keep = w > 0
-        return DiscreteMeasure(dim, loc[keep], w[keep])
-
-    return ScalarBV(dim, ev, grad, sup_bound=None, name="lipschitz")
-
-
 # ---------------------------------------------------------------------------
-# Mollification
+# Matrix inversion and structural checks
 # ---------------------------------------------------------------------------
 
 def _flat_profile(r: np.ndarray) -> np.ndarray:
@@ -565,72 +488,7 @@ def _flat_profile(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mollifier_nodes(dim: int, n_1d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights for the unit-radius flat mollifier,
-    normalized to unit mass; tensor midpoint rule on [-1,1]^dim."""
-    centers, w = _lateral_grid(-1.0, 1.0, 2.0 / n_1d)
-    mesh = np.meshgrid(*([centers] * dim), indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    r = np.linalg.norm(pts, axis=1)
-    vals = _flat_profile(r) * w ** dim
-    keep = vals > 0
-    pts, vals = pts[keep], vals[keep]
-    return pts, vals / vals.sum()
-
-
-def mollify(phi: ScalarBV, eps: float) -> ScalarBV:
-    """Convolve a coefficient with the flat mollifier at radius eps.
-
-    Evaluation is quadrature of phi against the bump (32 nodes per axis);
-    the gradient measure spreads each atom over a 5-per-axis stencil.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    nodes, nw = _mollifier_nodes(phi.dim, 32)
-    offsets = eps * nodes
-
-    def ev(pts):
-        pts = np.atleast_2d(pts)
-        acc = np.zeros(len(pts))
-        for z, w in zip(offsets, nw):
-            acc += w * np.asarray(phi.evaluate(pts - z[None, :]), dtype=float)
-        return acc
-
-    def grad(box, level):
-        if phi.gradient_measure is None:
-            raise ValueError("base coefficient has no gradient measure")
-        box = np.asarray(box, dtype=float).reshape(phi.dim, 2)
-        inflated = np.column_stack([box[:, 0] - eps, box[:, 1] + eps])
-        base = phi.gradient_measure(inflated, level)
-        # coarse stencil keeps the atom count manageable
-        snodes, sw = _mollifier_nodes(phi.dim, 5)
-        locs = (base.locations[:, None, :] + eps * snodes[None, :, :]).reshape(-1, phi.dim)
-        ws = (base.weights[:, None] * sw[None, :]).ravel()
-        return DiscreteMeasure(phi.dim, locs, ws)
-
-    return ScalarBV(phi.dim, ev, grad, sup_bound=phi.sup_bound,
-                    name=f"mollified({phi.name}, {eps})")
-
-
-# ---------------------------------------------------------------------------
-# Matrix inversion and structural checks
-# ---------------------------------------------------------------------------
-
-class SingularMatrixError(ValueError):
-    """``det`` is the determinant of smallest magnitude in a batch and
-    ``index`` its matrix's position; a caller that knows where that matrix
-    was evaluated sets ``point``."""
-
-    def __init__(self, det: float, floor: float, index: int):
-        super().__init__(f"determinant {det:g} at or below floor {floor:g}")
-        self.det = det
-        self.floor = floor
-        self.index = index
-        self.point = None
-
-
-def batch_inverse(mats: np.ndarray,
-                  det_floor: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def batch_inverse(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses and determinants of a batch of matrices (m, n, n).
 
     For n = 2 the adjugate over the determinant, in closed form.  Otherwise
@@ -639,8 +497,9 @@ def batch_inverse(mats: np.ndarray,
     trace coefficients of the characteristic polynomial, gives
     A^{-1} = -M / c_n and det A = (-1)^n c_n.
 
-    Raises SingularMatrixError, carrying the determinant of smallest
-    magnitude, when that magnitude is at or below det_floor.
+    Never raises and applies no floor: a singular matrix gets determinant 0
+    and an inverse of inf/nan, without a warning.  The caller judges the
+    determinants (doss.DET_FLOOR is the package's one floor).
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[-1]
@@ -655,27 +514,19 @@ def batch_inverse(mats: np.ndarray,
             M = AM + c[:, None, None] * eye
         c_n = -np.einsum("mii->m", mats @ M) / n
         det = (-1.0) ** n * c_n
-    if np.any(np.abs(det) <= det_floor):
-        j = int(np.argmin(np.abs(det)))
-        raise SingularMatrixError(float(det[j]), det_floor, j)
-    if n == 2:  # four strided divisions beat dividing a stacked adjugate
-        inv = np.empty_like(mats)
-        inv[:, 0, 0] = mats[:, 1, 1] / det
-        inv[:, 0, 1] = -mats[:, 0, 1] / det
-        inv[:, 1, 0] = -mats[:, 1, 0] / det
-        inv[:, 1, 1] = mats[:, 0, 0] / det
-        return inv, det
-    return -M / c_n[:, None, None], det
-
-
-def matrix_det(A: np.ndarray) -> float:
-    # no floor: a singular A has determinant 0 and an unused inverse of inf/nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(batch_inverse(np.asarray(A, dtype=float)[None], -np.inf)[1][0])
+        if n == 2:  # four strided divisions beat dividing a stacked adjugate
+            inv = np.empty_like(mats)
+            inv[:, 0, 0] = mats[:, 1, 1] / det
+            inv[:, 0, 1] = -mats[:, 0, 1] / det
+            inv[:, 1, 0] = -mats[:, 1, 0] / det
+            inv[:, 1, 1] = mats[:, 0, 0] / det
+            return inv, det
+        return -M / c_n[:, None, None], det
 
 
-def cayley_inverse(sigma: MatrixBV | np.ndarray, x: Optional[np.ndarray] = None,
-                   det_floor: float = 1e-12) -> np.ndarray:
+def cayley_inverse(sigma: MatrixBV | np.ndarray,
+                   x: Optional[np.ndarray] = None) -> np.ndarray:
     """Inverse of sigma(x) by batch_inverse, for a MatrixBV plus a point or
     for a plain matrix."""
     if isinstance(sigma, MatrixBV):
@@ -684,19 +535,22 @@ def cayley_inverse(sigma: MatrixBV | np.ndarray, x: Optional[np.ndarray] = None,
         A = sigma.evaluate(np.asarray(x, dtype=float))
     else:
         A = np.asarray(sigma, dtype=float)
-    return batch_inverse(A[None], det_floor)[0][0]
+    return batch_inverse(A[None])[0][0]
 
 
 def curl_check(sigma: MatrixBV, region: np.ndarray, eps: float,
-               spacing: float, det_floor: float = 1e-12) -> dict:
+               spacing: float) -> dict:
     """Max residual of the cross-derivative symmetry
     D_i sigma_hat[k][j] - D_j sigma_hat[k][i] of the inverse field
     sigma_hat = sigma^{-1} on a grid over the region, after mollifying each
     entry at radius eps (entries may jump; raw differences of a jump are
     meaningless).  Requires eps >= 2*spacing.  In 1D no cross derivative
-    exists and the residual is 0 without evaluating sigma.  Raises
-    SingularMatrixError, its ``point`` set, at a grid point where
-    |det sigma| <= det_floor."""
+    exists and the residual is 0 without evaluating sigma.
+
+    Also reports the least det sigma on the grid (``min_det``) and the grid
+    point where it occurs (``min_det_point``).  Where det sigma vanishes the
+    inverse field, and so the residual, is not finite: a caller judges
+    min_det before the residual."""
     region = np.asarray(region, dtype=float).reshape(sigma.dim, 2)
     if eps < 2 * spacing:
         raise ValueError("eps must be at least twice the grid spacing")
@@ -718,11 +572,10 @@ def curl_check(sigma: MatrixBV, region: np.ndarray, eps: float,
     kernel = _flat_profile(kr)
     kernel /= kernel.sum()
 
-    try:  # one evaluation and one inversion of the whole grid
-        hats = batch_inverse(sigma.evaluate(pts), det_floor)[0].reshape(shape + (n, n))
-    except SingularMatrixError as exc:
-        exc.point = pts[exc.index].tolist()
-        raise
+    # one evaluation and one inversion of the whole grid
+    hats, det = batch_inverse(sigma.evaluate(pts))
+    hats = hats.reshape(shape + (n, n))
+    least = int(np.argmin(det))
     # Mollify all n^2 entries in one shifted sum, on the cells at least rad
     # from the grid's edge: all that the interior differences below read.
     # The taps above machine epsilon are added in C order, as
@@ -730,33 +583,29 @@ def curl_check(sigma: MatrixBV, region: np.ndarray, eps: float,
     # equal its output on these cells bit for bit.
     inner = tuple(m - 2 * rad for m in shape)
     fields = np.zeros(inner + (n, n))
-    for tap in zip(*np.nonzero(kernel > np.finfo(float).eps)):
-        fields += kernel[tap] * hats[tuple(slice(t, t + m) for t, m in zip(tap, inner))]
-
-    def central_diff(F, axis):
-        return np.gradient(F, spacing, axis=axis)
-
     interior = (slice(1, -1),) * n
     residuals = {}
-    worst = 0.0
-    for k in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = (central_diff(fields[..., k, j], i)
-                     - central_diff(fields[..., k, i], j))
-                val = float(np.abs(r[interior]).max())
-                residuals[(i, j, k)] = val
-                worst = max(worst, val)
-    return {"max_residual": worst, "per_component": residuals}
+    with np.errstate(invalid="ignore"):  # inf - inf where det sigma = 0: nan
+        for tap in zip(*np.nonzero(kernel > np.finfo(float).eps)):
+            fields += kernel[tap] * hats[tuple(slice(t, t + m) for t, m in zip(tap, inner))]
+        for k in range(n):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    r = (np.gradient(fields[..., k, j], spacing, axis=i)
+                         - np.gradient(fields[..., k, i], spacing, axis=j))
+                    residuals[(i, j, k)] = float(np.abs(r[interior]).max())
+    return {"max_residual": float(np.max(list(residuals.values()))),
+            "per_component": residuals,
+            "min_det": float(det[least]), "min_det_point": pts[least].tolist()}
 
 
-def distortion_check(sigma: MatrixBV, probes: np.ndarray,
-                     det_floor: float = 1e-12) -> dict:
+def distortion_check(sigma: MatrixBV, probes: np.ndarray) -> dict:
     """Distortion constant kappa = max |sigma^{-1}|_op^n / det(sigma^{-1})
     over the probes, and the angular constant
     delta = min <xi, sigma xi> / (|sigma xi| |xi|) over probes and a
     unit-sphere sample of DISTORTION_DIRECTIONS directions.  Flags
-    delta <= -1."""
+    delta <= -1.  The probes must have invertible sigma: solve_nd checks
+    them against its floor first."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     n = sigma.dim
     if n == 2:
@@ -767,7 +616,7 @@ def distortion_check(sigma: MatrixBV, probes: np.ndarray,
         xis = rng.standard_normal((DISTORTION_DIRECTIONS, n))
         xis /= np.linalg.norm(xis, axis=1, keepdims=True)
     A = sigma.evaluate(probes)
-    Ainv, det = batch_inverse(A, det_floor)
+    Ainv, det = batch_inverse(A)
     op = np.linalg.svd(Ainv, compute_uv=False)[:, 0]
     # det(sigma^{-1}) = 1 / det(sigma)
     kappa = (op ** n * det).max(initial=-np.inf)

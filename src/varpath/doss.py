@@ -21,7 +21,6 @@ import numpy as np
 
 from .bv_library import (
     MatrixBV,
-    SingularMatrixError,
     batch_inverse,
     cantor_cumulative,
     cantor_cumulative_inverse,
@@ -82,6 +81,7 @@ DET_FLOOR = 1e-9             # least det sigma the construction accepts
 INVERSION_TOL = 2e-6         # Newton residual tolerance, relative to 1 + |y|
 NEWTON_MAX_ITER = 60
 N_CHECK_PROBES = 128         # random probes of the preconditions (seed 0)
+CLASSIFIER_POINTS = 512      # most path steps the classifier preconditions see
 CURL_EPS = 0.12              # mollifier radius of the curl check
 CURL_SPACING = 0.03          # grid spacing of the curl check
 CURL_THRESHOLD = 0.5         # largest accepted curl residual
@@ -92,8 +92,7 @@ def _inverse(mats: np.ndarray, pts: np.ndarray, stage: str) -> np.ndarray:
     """Inverses of the values mats of sigma at pts; refuses, naming the
     stage and the point, where det sigma <= DET_FLOOR (signed: where det
     sigma changes sign the potential folds and has no inverse)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hats, dets = batch_inverse(mats, -np.inf)
+    hats, dets = batch_inverse(mats)
     if not dets.min() > DET_FLOOR:
         j = int(np.argmin(dets))
         raise _singular(stage, pts[j].tolist(), float(dets[j]))
@@ -277,9 +276,10 @@ def solve_nd(sigma: MatrixBV, base, region, *, quad_step: float = 5e-4) -> DossM
     the base.
 
     Preconditions, always checked: det sigma > DET_FLOOR and the angular
-    bound hold at N_CHECK_PROBES random probes (seed 0); the inverse field
-    passes the cross-derivative symmetry check (trivial in 1D); det sigma >
-    DET_FLOOR at every quadrature sub-step of the table; the tables built
+    bound hold at N_CHECK_PROBES random probes (seed 0); det sigma >
+    DET_FLOOR on the grid of the cross-derivative symmetry check, and the
+    inverse field passes that check (trivial in 1D); det sigma > DET_FLOOR
+    at every quadrature sub-step of the table; the tables built
     along the two polyline orders give the same g at the probes; f(g(x)) = x
     at the probes.  Any failure raises a refusal carrying the offending
     report — coefficients whose inverse field carries circulation across its
@@ -300,13 +300,12 @@ def solve_nd(sigma: MatrixBV, base, region, *, quad_step: float = 5e-4) -> DossM
         region[:, 1] - region[:, 0])
 
     _inverse(sigma.evaluate(probes), probes, "probes")
-    dist = distortion_check(sigma, probes, det_floor=DET_FLOOR)
+    dist = distortion_check(sigma, probes)
     if not dist["delta_admissible"]:
         raise SolveRefusal("angular bound violated (delta <= -1)", dist)
-    try:
-        curl = curl_check(sigma, region, CURL_EPS, CURL_SPACING, DET_FLOOR)
-    except SingularMatrixError as exc:
-        raise _singular("curl check", exc.point, exc.det) from exc
+    curl = curl_check(sigma, region, CURL_EPS, CURL_SPACING)
+    if not curl.get("min_det", np.inf) > DET_FLOOR:  # 1D has no curl grid
+        raise _singular("curl check", curl["min_det_point"], curl["min_det"])
     if curl["max_residual"] > CURL_THRESHOLD:
         raise SolveRefusal(
             f"inverse field fails the cross-derivative symmetry check "
@@ -438,12 +437,13 @@ def _checkpoint_indices(N: int, n_checkpoints: Optional[int]) -> np.ndarray:
     return np.unique(np.linspace(0, N, n_checkpoints).round().astype(int))
 
 
-def _subsampled(path: SampledPath, max_points: int = 512) -> SampledPath:
-    """Coarse time-subsampling preserving the horizon, used only to keep the
-    classifier precondition affordable on fine grids."""
+def _subsampled(path: SampledPath) -> SampledPath:
+    """Coarse time-subsampling to at most CLASSIFIER_POINTS steps,
+    preserving the horizon, used only to keep the classifier precondition
+    affordable on fine grids."""
     N = path.grid.N
     step = 1
-    while N // step > max_points:
+    while N // step > CLASSIFIER_POINTS:
         step *= 2
     if step == 1:
         return path
@@ -506,9 +506,10 @@ def residual(X: SampledPath, sigma: MatrixBV, Y: SampledPath, x0,
     ``refine`` on the piecewise-linear data).
 
     Precondition: the variability classifier (p = 1, levels 5, 7 and 9, on
-    X subsampled to at most 512 steps) must not return 'diverging' for
-    (X, sigma) at the witness exponent s (by default the midpoint of the
-    admissible interval derived from the estimated Hoelder exponents).
+    X subsampled to at most CLASSIFIER_POINTS steps) must not return
+    'diverging' for (X, sigma) at the witness exponent s (by default the
+    midpoint of the admissible interval derived from the estimated Hoelder
+    exponents).
     """
     x0 = np.asarray(x0, dtype=float).reshape(sigma.dim)
     if X.dim != sigma.dim or Y.dim != sigma.dim:

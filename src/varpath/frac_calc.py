@@ -58,13 +58,6 @@ def rl_integral_left(f: GridFunction, theta: float) -> GridFunction:
     return GridFunction(f.grid, out)
 
 
-def rl_integral_right(f: GridFunction, theta: float) -> GridFunction:
-    """Right fractional integral of order theta (magnitude convention):
-    (1/Gamma(theta)) * int_t^T f(s) (s-t)^(theta-1) ds."""
-    rev = GridFunction(f.grid, f.values[::-1])
-    return GridFunction(f.grid, rl_integral_left(rev, theta).values[::-1])
-
-
 def marchaud_difference_integral(values: np.ndarray, dt: float, theta: float) -> np.ndarray:
     """M(t_i) = int_0^{t_i} (f(t_i) - f(s)) (t_i - s)^(-theta-1) ds for the
     piecewise-linear interpolant.  The integrand's singular cell at s = t_i
@@ -184,11 +177,3 @@ def norm_WT(g: GridFunction, theta: float) -> float:
         acc[: N + 1 - k] += np.abs(v[:-k] - v[k:]) * lag ** (-1.0 - theta) * dt
     term2 = float(acc.max())
     return term1 + term2
-
-
-def dyda_ratio(f: GridFunction, theta: float, p: float) -> float:
-    """Ratio (weighted term) / (seminorm^p + L^p^p): the fractional Hardy
-    inequality asserts this is bounded by a constant depending only on
-    (theta, p) for continuous data."""
-    weighted, semi, lp = w0_parts(f, theta, p)
-    return weighted / (semi + lp)

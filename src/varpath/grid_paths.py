@@ -66,15 +66,6 @@ class SampledPath:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def from_csv(filename: str) -> SampledPath:
-    data = np.loadtxt(filename, delimiter=",", skiprows=1)
-    times = data[:, 0]
-    values = data[:, 1:]
-    N = len(times) - 1
-    T = times[-1]
-    return SampledPath(TimeGrid(T=T, N=N), dim=values.shape[1], values=values)
-
-
 def _fgn_circulant_sqrt_eigs(hurst: float, N: int) -> Optional[np.ndarray]:
     """Eigenvalues^(1/2) of the circulant embedding of the fGn covariance.
 
@@ -141,7 +132,8 @@ def make_power_path(d: float, grid: TimeGrid) -> SampledPath:
     """One-dimensional path t -> t^(1/d); its occupation measure scales like r^d."""
     if not (0.0 < d <= 1.0):
         raise ValueError(f"d must lie in (0,1], got {d}")
-    vals = grid.times ** (1.0 / d)
+    with np.errstate(over="ignore"):  # SampledPath refuses values that overflow
+        vals = grid.times ** (1.0 / d)
     return SampledPath(grid, 1, vals[:, None])
 
 
@@ -149,7 +141,8 @@ def make_linear_path(velocity: np.ndarray, start: np.ndarray, grid: TimeGrid) ->
     """Path start + t*velocity; handy deterministic test input."""
     velocity = np.atleast_1d(np.asarray(velocity, dtype=float))
     start = np.atleast_1d(np.asarray(start, dtype=float))
-    vals = start[None, :] + grid.times[:, None] * velocity[None, :]
+    with np.errstate(over="ignore"):  # SampledPath refuses values that overflow
+        vals = start[None, :] + grid.times[:, None] * velocity[None, :]
     return SampledPath(grid, len(start), vals)
 
 

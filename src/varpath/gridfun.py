@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,10 +23,6 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function values must be finite")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_callable(cls, grid: TimeGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.times), dtype=float))
 
     def lp_norm(self, p: float) -> float:
         """L^p(0,T) norm by left-endpoint quadrature; p = inf is the grid max."""

@@ -91,16 +91,6 @@ class DiscreteMeasure:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    def to_csv(self, path: str) -> None:
-        header = ",".join(f"x{k + 1}" for k in range(self.dim)) + ",weight"
-        data = np.column_stack([self.locations, self.weights])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
-
-
-def measure_from_csv(filename: str) -> DiscreteMeasure:
-    data = np.loadtxt(filename, delimiter=",", skiprows=1, ndmin=2)
-    return DiscreteMeasure(dim=data.shape[1] - 1, locations=data[:, :-1], weights=data[:, -1])
-
 
 @dataclass(frozen=True)
 class KernelPolicy:
@@ -122,19 +112,6 @@ def occupation_measure(path: SampledPath) -> DiscreteMeasure:
     N = path.grid.N
     w = np.full(N, path.grid.dt)
     return DiscreteMeasure(path.dim, path.values[:N], w)
-
-
-def riesz_potential(mu: DiscreteMeasure, policy: KernelPolicy, x: np.ndarray) -> float:
-    """Capped Riesz potential sum_j w_j * max(|x - y_j|, h)^(gamma - n).
-
-    With h = 0 and x on an atom the result is +inf.
-    """
-    policy.validate(mu.dim)
-    x = np.asarray(x, dtype=float).reshape(mu.dim)
-    d = np.linalg.norm(mu.locations - x, axis=1)
-    with np.errstate(divide="ignore"):  # h = 0 on an atom: +inf
-        k = np.maximum(d, policy.cap_radius) ** (policy.gamma - mu.dim)
-    return float(np.dot(mu.weights, k))
 
 
 def _kernel_block(q: np.ndarray, atoms: np.ndarray, weights: np.ndarray, h: float,
@@ -160,7 +137,8 @@ def _kernel_block(q: np.ndarray, atoms: np.ndarray, weights: np.ndarray, h: floa
 
 
 def riesz_potential_many(mu: DiscreteMeasure, policy, xs: np.ndarray) -> np.ndarray:
-    """Vectorized riesz_potential over rows of xs (m, n).
+    """Capped Riesz potentials sum_j w_j max(|x - y_j|, h)^(gamma - n) of mu
+    at the rows x of xs (m, n); with h = 0, a query on an atom gives +inf.
 
     ``policy`` is one KernelPolicy, giving shape (m,), or a sequence of
     policies that share one cap radius, giving (k, m): every order is then
@@ -266,28 +244,6 @@ def upper_regularity_exponent(mu: DiscreteMeasure, radii: Sequence[float]) -> Re
     slope, intercept = np.polyfit(lr, ls, 1)
     resid = float(np.abs(ls - (slope * lr + intercept)).max())
     return RegularityEstimate(float(slope), resid, radii, sups)
-
-
-@dataclass(frozen=True)
-class HistogramDensity:
-    edges: list
-    density: np.ndarray
-    cell: float
-
-
-def local_time_density(mu: DiscreteMeasure, cell: float) -> HistogramDensity:
-    """Histogram estimate of the density of mu with respect to volume, on an
-    axis-aligned grid of the given cell width."""
-    if cell <= 0:
-        raise ValueError("cell width must be positive")
-    loc = mu.locations
-    edges = []
-    for k in range(mu.dim):
-        lo, hi = loc[:, k].min(), loc[:, k].max()
-        nbins = max(1, int(np.ceil((hi - lo) / cell)))
-        edges.append(np.linspace(lo, lo + nbins * cell, nbins + 1))
-    hist, edges = np.histogramdd(loc, bins=edges, weights=mu.weights)
-    return HistogramDensity(edges=list(edges), density=hist / cell ** mu.dim, cell=cell)
 
 
 def _riesz_convolution_raw(gamma1: float, gamma2: float, y: float) -> float:

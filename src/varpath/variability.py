@@ -220,10 +220,6 @@ class BoundCheck:
     lhs: float
     rhs: float
 
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else np.inf
-
 
 def composition_bound_check(phi: ScalarBV, path: SampledPath, s: float, p: float,
                             beta: float, params: VariabilityParams | None = None) -> BoundCheck:

@@ -17,7 +17,7 @@ from varpath.bv_library import (ScalarBV, cantor_coefficient, cantor_function,
                                 cantor_level_atoms, cantor_matrix,
                                 cone_matrix, constant_scalar,
                                 jump_line_matrix, level_scale, _lateral_grid,
-                                cayley_inverse, matrix_det)
+                                cayley_inverse)
 from varpath.doss import (BVGradientMap, SolveRefusal, build_solution,
                           change_of_variable_check, closed_form_maps,
                           residual, solve_nd, uniqueness_check)

@@ -13,7 +13,7 @@ GRID = TimeGrid(1.0, 4096)
 
 
 def gf(fn, grid=GRID):
-    return GridFunction.from_callable(grid, fn)
+    return GridFunction(grid, fn(grid.times))
 
 
 def test_integral_of_t_dt():

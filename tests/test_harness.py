@@ -172,6 +172,7 @@ def test_cli_path_and_exit_codes(tmp_path):
     assert (tmp_path / "path.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     r = run_cli(["path", "--path", "warp", "--N", "128",
                  "--out-dir", str(tmp_path)], cwd=str(tmp_path))
@@ -245,22 +246,27 @@ def test_cli_overflow_is_a_refusal(tmp_path, capsys):
         assert not (out / "integrate_report.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_huge_gradient_measure_is_a_refusal(tmp_path, capsys):
     # a path with a huge range inflates the box that the Cantor measure's
     # lateral grid covers, and a huge level refines it: refused before the
     # grid is allocated (velocity 1e5 and level 2000 used to exhaust memory,
-    # 1e300 to end in numpy's "Maximum allowed size exceeded")
-    for i, (config, level) in enumerate([
-            ({"path": "linear", "N": 64, "velocity": [1e5, 1e5]}, 5),
-            ({"path": "linear", "N": 64, "velocity": [1e300, 1e300]}, 5),
-            ({"path": "fbm", "hurst": 0.7, "N": 64, "levels": [5, 2000]}, 2000)]):
+    # 1e300 to end in numpy's "Maximum allowed size exceeded"); the jump
+    # line's segment through a box of side 1e300 is longer than a double
+    # holds; no count overflows with a warning on the way to the refusal
+    for i, (config, name, level) in enumerate([
+            ({"path": "linear", "N": 64, "velocity": [1e5, 1e5]}, "cantor", 5),
+            ({"path": "linear", "N": 64, "velocity": [1e300, 1e300]}, "cantor", 5),
+            ({"path": "fbm", "hurst": 0.7, "N": 64, "levels": [5, 2000]}, "cantor", 2000),
+            ({"path": "linear", "N": 64, "velocity": [1e300, 1e300],
+              "coefficient": "jump_line"}, "halfplane(c=2.0)", 5)]):
         cfg = tmp_path / f"case_{i}.json"
-        cfg.write_text(json.dumps(dict(config, coefficient="cantor", s=0.5)))
+        cfg.write_text(json.dumps({"coefficient": "cantor", "s": 0.5, **config}))
         out = tmp_path / f"case_{i}"
         assert cli_main(["variability", "--config", str(cfg), "--out-dir", str(out)]) \
             == EXIT_REFUSAL, config
         err = capsys.readouterr().err
-        assert err.startswith("refusal: AtomBudgetRefusal: gradient measure of 'cantor' "
+        assert err.startswith(f"refusal: AtomBudgetRefusal: gradient measure of {name!r} "
                               f"at level {level} needs up to "), err
         assert "over the budget of 4194304 (MAX_ATOMS)" in err, err
         assert not (out / "variability_report.json").exists()
@@ -351,6 +357,169 @@ def test_no_parameter_is_ignored():
     unread = [(path.name, name, param) for path in sorted(src.glob("*.py"))
               for name, param in _unread_parameters(path.read_text())]
     assert unread == []
+
+
+def _reads(tree, strings=False) -> set:
+    """The names that ``tree`` reads: names and attribute names in load
+    context and, with ``strings``, string constants that are identifiers
+    (an attribute looked up or patched by name)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def _unreached_definitions(modules: dict, roots: set) -> list:
+    """The top-level definitions of ``modules`` (module name -> source) that
+    no root reaches, as "module.name" or "module.Class.method".
+
+    A definition is a module-level function, class or assigned name, or a
+    method of a module-level class.  Reaching goes by name: a definition is
+    reached when a root or a reached definition reads its name.  The roots
+    are the names in ``roots`` and what each module's import-time code
+    reads outside its definitions and imports (so a re-export in
+    ``__init__`` reaches nothing).  A method is reached when its class is
+    reached and its name is read; a dunder method comes with its class."""
+    defs, reads = {}, set(roots)
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{module}.{node.name}"] = (node.name, [node], None)
+            elif isinstance(node, ast.ClassDef):
+                key = f"{module}.{node.name}"
+                methods = [item for item in node.body
+                           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and not (item.name.startswith("__") and item.name.endswith("__"))]
+                defs[key] = (node.name, node.bases + node.decorator_list
+                             + [item for item in node.body if item not in methods], None)
+                defs.update({f"{key}.{m.name}": (m.name, [m], key) for m in methods})
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs.update({f"{module}.{t.id}": (t.id, [node], None)
+                             for t in targets if isinstance(t, ast.Name)})
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reads |= _reads(node)
+    reached, grew = set(), True
+    while grew:
+        grew = False
+        for key, (name, nodes, owner) in defs.items():
+            if key not in reached and name in reads and (owner is None or owner in reached):
+                reached.add(key)
+                reads.update(*(_reads(n) for n in nodes))
+                grew = True
+    return sorted(set(defs) - reached)
+
+
+def test_unreached_definitions_detected():
+    modules = {
+        "a": ("import os\nfrom .b import g\nX = 1\nY = f2()\n"
+              "def f():\n    return X\ndef f2():\n    return 0\n"
+              "class K:\n    z: int = 0\n    def __init__(self):\n        self.w = 1\n"
+              "    def used(self):\n        return 1\n    def unused(self):\n        return 2\n"
+              "if os.environ:\n    K().used()\n"),
+        "b": "def g():\n    return h()\ndef h():\n    return 1\n"}
+    assert _unreached_definitions(modules, {"f"}) == ["a.K.unused", "a.Y", "a.f2", "b.g", "b.h"]
+    assert _unreached_definitions(modules, {"f", "g", "Y"}) == ["a.K.unused"]
+    assert _reads(ast.parse('patch(bv, "cayley_inverse", "a b")'), strings=True) == {
+        "patch", "bv", "cayley_inverse"}
+
+
+#: definitions that no runner reaches and that a test checks against an
+#: acceptance criterion ("criterion n: ...", read by tests/test_acceptance.py)
+#: or against a statement of the paper ("paper: ...", read by some test)
+CRITERION_ONLY = {
+    "frac_calc.norm_W0": "criterion 3: the duality bound |int f dg| <= C ||f||_W0 ||g||_WT",
+    "frac_calc.norm_WT": "criterion 3: the duality bound |int f dg| <= C ||f||_W0 ||g||_WT",
+    "measures.upper_regularity_exponent":
+        "criterion 7: upper-regularity exponents of the Cantor, segment and power measures",
+    "frac_calc.rl_integral_left": "criterion 8: Riemann-Liouville closed forms and inversion",
+    "measures.convolution_identity_check":
+        "criterion 8: scaling law of the composition of two Riesz kernels",
+    "doss.BVGradientMap": "criterion 12: the change-of-variable formula for F(X)",
+    "doss.change_of_variable_check": "criterion 12: the change-of-variable formula for F(X)",
+    "measures.mutual_energy": "criterion 13: symmetry of the mutual Riesz energy",
+    "variability.composition_bound_check":
+        "paper: the composition estimate, a Gagliardo seminorm of phi(X) of order "
+        "beta < alpha s bounded by the Hoelder seminorm and the variability statistic",
+    "variability.meanvalue_check":
+        "paper: the mean-value inequality |phi(x) - phi(y)| <= |x - y|^s (M phi(x) + "
+        "M phi(y)), M the fractional maximal function of the gradient measure",
+    "variability.fbm_energy_bound":
+        "paper: the fBm examples, int |B_t - x|^-(n-1+s) dt finite below the phase condition",
+    "variability.moment_condition_check":
+        "paper: the moment condition int |z - x0|^gamma d|D phi|(z) < inf on shifted drivers",
+    "variability.classify_crosscheck_energy":
+        "paper: the relative condition as a mutual energy of |D phi| and the occupation measure",
+}
+
+
+def test_every_definition_serves_a_runner_or_a_criterion():
+    # the package holds what the command line, the scripts and the
+    # benchmark run (tracing.py patches attributes by name), and the paper
+    # oracles that the acceptance criteria and lemma tests check; a
+    # definition that only tests reach goes, or moves into tests/
+    repo = Path(__file__).resolve().parents[1]
+    src = Path(varpath.__file__).resolve().parent
+    modules = {path.stem: path.read_text() for path in sorted(src.glob("*.py"))}
+    roots = set().union(*(_reads(ast.parse(path.read_text()))
+                          for path in sorted((repo / "scripts").glob("*.py"))))
+    roots |= set().union(*(_reads(ast.parse(path.read_text()), strings=True)
+                           for path in sorted((repo / "perfbench").glob("*.py"))))
+    unreached = _unreached_definitions(modules, roots)
+    # an entry that a runner reaches, or that no longer exists, is stale
+    assert sorted(set(CRITERION_ONLY) - set(unreached)) == []
+    names = {key.rsplit(".", 1)[1] for key in CRITERION_ONLY}
+    assert _unreached_definitions(modules, roots | names) == []
+    acceptance = _reads(ast.parse((repo / "tests" / "test_acceptance.py").read_text()))
+    tested = set().union(*(_reads(ast.parse(path.read_text()))
+                           for path in sorted((repo / "tests").glob("test_*.py"))))
+    for key, reason in CRITERION_ONLY.items():
+        assert reason.startswith(("criterion ", "paper: ")), key
+        assert key.rsplit(".", 1)[1] in (
+            acceptance if reason.startswith("criterion ") else tested), key
+
+
+def test_trace_mode_patches_and_restores_the_library():
+    # perfbench/tracing.py, behind run.py --trace 1, wraps library
+    # attributes that it names as strings: each must exist, take the
+    # wrapper, carry a traced call, and come back after uninstall
+    from varpath import bv_library, doss, gls_integral, variability
+    from varpath.variability import VariabilityParams
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    patched = [node.args[1].value for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "patch"]
+    owners = [bv_library, bv_library.MatrixBV, doss, gls_integral, variability]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        during = [dict(vars(owner)) for owner in owners]
+        variability.classify(varpath.make_fbm(0.7, 2, varpath.TimeGrid(1.0, 64), seed=0),
+                             varpath.cantor_coefficient(2),
+                             VariabilityParams(s=0.5, p=1.0, levels=(3, 4)))
+        doss.solve_nd(varpath.jump_line_matrix(2.0), [-0.5, -0.5], [(-0.5, 0.5)] * 2)
+    finally:
+        uninstall()
+    assert patched and sorted(name for b, d in zip(before, during) for name in b
+                              if d[name] is not b[name]) == sorted(patched)
+    for owner, b in zip(owners, before):
+        assert vars(owner).keys() == b.keys()
+        assert all(vars(owner)[name] is value for name, value in b.items())
+    _, _, counts = tracer.totals([None])
+    assert counts["measures.kernel_pairs"] > 0 and counts["bv_library.matrices"] > 0
+    assert {span[0] for span in tracer.spans} >= {
+        "measures.riesz_potential_many", "bv_library.curl_check",
+        "bv_library.distortion_check", "bv_library.matrix_evaluate"}
 
 
 def _import_time_scipy_imports(source: str) -> list:

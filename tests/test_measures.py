@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 import varpath
 from varpath import measures
 from varpath.bv_library import cantor_level_atoms
-from varpath.grid_paths import TimeGrid, make_constant_path, make_fbm, make_linear_path
+from varpath.grid_paths import TimeGrid, make_fbm, make_linear_path
 from varpath.measures import (DiscreteMeasure, KernelPolicy,
                               convolution_identity_check, fractional_maximal,
-                              local_time_density, mutual_energy,
-                              occupation_measure, riesz_potential,
+                              mutual_energy, occupation_measure,
                               riesz_potential_many, upper_regularity_exponent)
+
+from oracles import riesz_potential
 
 
 def unit_atoms(rng, m, dim=2):
@@ -36,16 +37,15 @@ def test_single_atom_potential_closed_form():
     mu = DiscreteMeasure(2, np.array([[0.0, 0.0]]), np.array([3.0]))
     pol = KernelPolicy(gamma=0.5, cap_radius=0.0)
     # one atom: potential is w * |x|^(gamma - n)
-    x = np.array([2.0, 0.0])
-    assert riesz_potential(mu, pol, x) == pytest.approx(3.0 * 2.0 ** (0.5 - 2))
-    assert riesz_potential(mu, pol, np.zeros(2)) == np.inf
+    at, on = riesz_potential_many(mu, pol, np.array([[2.0, 0.0], [0.0, 0.0]]))
+    assert at == pytest.approx(3.0 * 2.0 ** (0.5 - 2))
+    assert on == np.inf
 
 
 def test_capped_kernel_flattens_inside_cap():
     mu = DiscreteMeasure(2, np.array([[0.0, 0.0]]), np.array([1.0]))
     pol = KernelPolicy(gamma=0.5, cap_radius=0.5)
-    inside = riesz_potential(mu, pol, np.array([0.1, 0.0]))
-    at_cap = riesz_potential(mu, pol, np.array([0.5, 0.0]))
+    inside, at_cap = riesz_potential_many(mu, pol, np.array([[0.1, 0.0], [0.5, 0.0]]))
     assert inside == pytest.approx(at_cap)
 
 
@@ -63,9 +63,9 @@ def test_mutual_energy_symmetry(seed):
 def test_potential_monotone_in_cap_radius(h, factor):
     rng = np.random.default_rng(7)
     mu = unit_atoms(rng, 20)
-    x = np.array([0.3, -0.2])
-    small = riesz_potential(mu, KernelPolicy(0.7, h), x)
-    large = riesz_potential(mu, KernelPolicy(0.7, h * factor), x)
+    x = np.array([[0.3, -0.2]])
+    small = riesz_potential_many(mu, KernelPolicy(0.7, h), x)[0]
+    large = riesz_potential_many(mu, KernelPolicy(0.7, h * factor), x)[0]
     assert small >= large - 1e-12
 
 
@@ -176,27 +176,10 @@ def test_segment_occupation_regularity():
     assert abs(est.exponent - 1.0) < 0.1
 
 
-def test_local_time_density_mass():
-    grid = TimeGrid(1.0, 256)
-    mu = occupation_measure(make_constant_path(np.array([0.25, 0.25]), grid))
-    hist = local_time_density(mu, cell=0.1)
-    assert hist.density.sum() * 0.1 ** 2 == pytest.approx(mu.total_mass)
-
-
 def test_convolution_scaling_identity():
     # residuals 0.0050 and 0.0074 (quadrature half-width 2e4)
     assert convolution_identity_check(0.3, 0.4, y=2.0) < 0.01
     assert convolution_identity_check(0.25, 0.5, y=2.0) < 0.01
-
-
-def test_csv_roundtrip(tmp_path, rng):
-    from varpath.measures import measure_from_csv
-    mu = unit_atoms(rng, 25)
-    fn = tmp_path / "mu.csv"
-    mu.to_csv(str(fn))
-    back = measure_from_csv(str(fn))
-    assert np.allclose(back.locations, mu.locations)
-    assert np.allclose(back.weights, mu.weights)
 
 
 def _fresh_process(code: str) -> str:

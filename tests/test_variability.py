@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from varpath.bv_library import (cantor_coefficient, constant_scalar,
-                                halfplane_x1_positive, indicator_disk,
-                                lipschitz_wrap)
+from varpath.bv_library import (ScalarBV, cantor_coefficient, constant_scalar,
+                                halfplane_below_line, halfplane_x1_positive)
 from varpath.grid_paths import TimeGrid, make_constant_path, make_fbm, make_linear_path
 from varpath.gridfun import GridFunction
-from varpath.measures import KernelPolicy, riesz_potential
+from varpath.measures import DiscreteMeasure, KernelPolicy
 from varpath.variability import (VariabilityParams, VariabilityRefusal,
                                  classify, classify_crosscheck_energy,
                                  classify_sweep, compose,
@@ -14,6 +13,8 @@ from varpath.variability import (VariabilityParams, VariabilityRefusal,
                                  inflated_box, meanvalue_check,
                                  moment_condition_check, require_finite,
                                  variability_statistic)
+
+from oracles import riesz_potential
 
 
 GRID = TimeGrid(1.0, 512)
@@ -52,10 +53,9 @@ def test_frozen_verdict_triple():
 
 
 def test_path_missing_jump_locus_is_finite():
-    # a path that stays away from the discontinuity circle sees no mass
+    # a path that stays away from the jump line x2 = 2 x1 sees no mass
     path = make_constant_path(np.array([5.0, 5.0]), GRID)
-    disk = indicator_disk((0.0, 0.0), 1.0)
-    rep = classify(path, disk, VariabilityParams(s=0.8, margin=0.25))
+    rep = classify(path, halfplane_below_line(2.0), VariabilityParams(s=0.8, margin=0.25))
     assert rep.verdict == "finite"
 
 
@@ -143,9 +143,27 @@ def test_crosscheck_energy_identity():
     assert norm_l1 == pytest.approx(energy, rel=1e-10)
 
 
+def _sin_cos() -> ScalarBV:
+    """sin(x1) cos(x2); its gradient measure is |grad| times area on a cell
+    grid over the box, cells of side 2^-level but at most 256 per side."""
+    def ev(pts):
+        return np.sin(pts[:, 0]) * np.cos(pts[:, 1])
+
+    def grad(box, level):
+        axes = [np.linspace(lo, hi, min(256, int(np.ceil((hi - lo) * 2 ** level))) + 1)
+                for lo, hi in box]
+        x1, x2 = np.meshgrid(*[(a[:-1] + a[1:]) / 2 for a in axes], indexing="ij")
+        area = (axes[0][1] - axes[0][0]) * (axes[1][1] - axes[1][0])
+        norm = np.hypot(np.cos(x1) * np.cos(x2), np.sin(x1) * np.sin(x2))
+        return DiscreteMeasure(2, np.column_stack([x1.ravel(), x2.ravel()]),
+                               area * norm.ravel())
+
+    return ScalarBV(2, ev, grad, sup_bound=1.0)
+
+
 def test_composition_bound_holds():
     path = make_fbm(0.8, 2, TimeGrid(1.0, 512), seed=6)
-    phi = lipschitz_wrap(lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]), dim=2)
+    phi = _sin_cos()
     chk = composition_bound_check(phi, path, s=0.5, p=2.0, beta=0.2)
     assert chk.lhs >= 0 and chk.rhs > 0
 
