@@ -550,7 +550,12 @@ def curl_check(sigma: MatrixBV, region: np.ndarray, eps: float,
     Also reports the least det sigma on the grid (``min_det``) and the grid
     point where it occurs (``min_det_point``).  Where det sigma vanishes the
     inverse field, and so the residual, is not finite: a caller judges
-    min_det before the residual."""
+    min_det before the residual.
+
+    sigma is evaluated and inverted once over the whole grid, and the
+    mollifier is one shifted sum of its taps through a single scratch
+    buffer, equal bit for bit to ``ndimage.convolve`` on the cells the
+    differences read."""
     region = np.asarray(region, dtype=float).reshape(sigma.dim, 2)
     if eps < 2 * spacing:
         raise ValueError("eps must be at least twice the grid spacing")
@@ -580,14 +585,18 @@ def curl_check(sigma: MatrixBV, region: np.ndarray, eps: float,
     # from the grid's edge: all that the interior differences below read.
     # The taps above machine epsilon are added in C order, as
     # ndimage.convolve adds them (the kernel is symmetric), so the fields
-    # equal its output on these cells bit for bit.
+    # equal its output on these cells bit for bit; each weighted tap goes
+    # through one scratch buffer.
     inner = tuple(m - 2 * rad for m in shape)
     fields = np.zeros(inner + (n, n))
+    tap_buf = np.empty_like(fields)
     interior = (slice(1, -1),) * n
     residuals = {}
     with np.errstate(invalid="ignore"):  # inf - inf where det sigma = 0: nan
         for tap in zip(*np.nonzero(kernel > np.finfo(float).eps)):
-            fields += kernel[tap] * hats[tuple(slice(t, t + m) for t, m in zip(tap, inner))]
+            np.multiply(kernel[tap], hats[tuple(slice(t, t + m) for t, m in zip(tap, inner))],
+                        out=tap_buf)
+            fields += tap_buf
         for k in range(n):
             for i in range(n):
                 for j in range(i + 1, n):
@@ -605,7 +614,13 @@ def distortion_check(sigma: MatrixBV, probes: np.ndarray) -> dict:
     delta = min <xi, sigma xi> / (|sigma xi| |xi|) over probes and a
     unit-sphere sample of DISTORTION_DIRECTIONS directions.  Flags
     delta <= -1.  The probes must have invertible sigma: solve_nd checks
-    them against its floor first."""
+    them against its floor first.
+
+    Both constants are a max or a min over probes of a function of sigma's
+    value alone, so the SVD and the angular sample run once per distinct
+    value (a piecewise-constant coefficient takes a few at 128 probes),
+    deduplicated bit for bit through a void view of the rows, which loads
+    no further numpy module."""
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     n = sigma.dim
     if n == 2:
@@ -616,6 +631,8 @@ def distortion_check(sigma: MatrixBV, probes: np.ndarray) -> dict:
         xis = rng.standard_normal((DISTORTION_DIRECTIONS, n))
         xis /= np.linalg.norm(xis, axis=1, keepdims=True)
     A = sigma.evaluate(probes)
+    rows = A.reshape(len(A), n * n).view(np.dtype((np.void, A.itemsize * n * n)))
+    A = A[np.unique(rows.ravel(), return_index=True)[1]]
     Ainv, det = batch_inverse(A)
     op = np.linalg.svd(Ainv, compute_uv=False)[:, 0]
     # det(sigma^{-1}) = 1 / det(sigma)

@@ -120,55 +120,92 @@ class _PotentialTable:
     units per side in 2-D and 1.0 in 3-D at the default spacing 5e-3).
     Every sub-step refuses where det sigma <= DET_FLOOR, naming the stage
     (the build, or the g or f query that grew the table).
+
+    The table starts as the base node alone, and building it is growing it.
+    A growth keeps the old node block and integrates only the cells it
+    adds: each leg's cumulative sums continue from their old ends, so a
+    grown table equals, bit for bit, one built on the grown box.  For that
+    it keeps every leg but the last on its own (lower-dimensional) domain,
+    and the last leg's values at the two ends of its axis.
     """
 
     def __init__(self, sigma: MatrixBV, base: np.ndarray, h: float,
                  order: Sequence[int], corners: np.ndarray, stage: str):
         self.sigma, self.base, self.h, self.order = sigma, base, h, tuple(order)
-        self.lo = self.hi = np.zeros(sigma.dim, dtype=int)
-        self.values = None
+        n = sigma.dim
+        self.lo = self.hi = np.zeros(n, dtype=int)
+        self.values = np.zeros((1,) * n + (n,))
+        self._legs = [np.zeros((1,) * k + (1 if k < n - 1 else 2, n)) for k in range(n)]
         self.cover(corners, stage)
 
-    def _build(self, lo: np.ndarray, hi: np.ndarray, stage: str) -> None:
+    def _grow(self, lo: np.ndarray, hi: np.ndarray, stage: str) -> None:
+        """Extend the box to lo <= i <= hi (which holds the old box); a
+        refusal on the way leaves the table as it was."""
         n = self.sigma.dim
-        shape = tuple(int(e) for e in hi - lo + 1)
-        self.lo, self.hi = lo, hi
-        self.values = np.zeros(shape + (n,))
+        shape = [int(e) for e in hi - lo + 1]
+        old_lo, old_hi = self.lo - lo, self.hi - lo  # the old box in the new one
+        old = tuple(slice(a, b + 1) for a, b in zip(old_lo, old_hi))
+        values = np.zeros(shape + [n])
+        legs = []
         for k, axis in enumerate(self.order):
-            self.values += self._leg(self.order[:k], axis, stage)
+            lateral = list(self.order[:k])
+            last = k == n - 1
+            # the leg on its domain: rows of lateral indices, then the axis
+            leg = np.zeros([shape[a] for a in lateral] + [shape[axis], n])
+            kept = [old_lo[axis], old_hi[axis]] if last else old[axis]
+            leg[tuple(old[a] for a in lateral) + (kept,)] = self._legs[k]
+            rows = np.indices(leg.shape[:k]).reshape(k, int(np.prod(leg.shape[:k]))).T
+            was = np.all((rows >= old_lo[lateral]) & (rows <= old_hi[lateral]), axis=1)
+            z = int(-lo[axis])  # position of the base node along the axis
+            flat = leg.reshape(-1, shape[axis], n)
+            for sel, span in ((was, (old_lo[axis], old_hi[axis])), (~was, (z, z))):
+                self._extend(flat, np.flatnonzero(sel), rows[sel] + lo[lateral], lateral,
+                             axis, span, lo[axis], stage)
+            legs.append(leg[..., [0, -1], :] if last else leg)
+            missing = [d for d in range(n) if d not in lateral + [axis]]
+            values += leg.reshape(leg.shape[:-1] + (1,) * len(missing) + (n,)).transpose(
+                list(np.argsort(lateral + [axis] + missing)) + [n])
+        values[old] = self.values  # the last leg holds only its ends there
+        self.lo, self.hi, self.values, self._legs = lo, hi, values, legs
         self.strides = np.array([int(np.prod(shape[k + 1:])) for k in range(n)])
 
-    def _leg(self, lateral: tuple, axis: int, stage: str) -> np.ndarray:
-        """Leg along ``axis`` with the ``lateral`` axes at lattice values,
-        shaped to broadcast against the table."""
+    def _extend(self, flat: np.ndarray, rows: np.ndarray, lat: np.ndarray, lateral: list,
+                axis: int, span: tuple, origin: int, stage: str) -> None:
+        """Fill flat[rows] (rows, positions along the axis, n), known on the
+        positions span[0]..span[1], at every other position: the cumulative
+        sums continue outward from the span's ends, and a run from the base
+        node starts with its first cell, as np.cumsum does.  lat holds the
+        rows' lateral node indices, origin the axis index of position 0.
+        Each cell's integral is the midpoint rule over SUBSTEPS sub-steps of
+        column ``axis`` of the inverse field."""
         n, h, base = self.sigma.dim, self.h, self.base
-        lo, hi = self.lo, self.hi
-        lat_shape = [int(hi[a] - lo[a] + 1) for a in lateral]
-        lat = (np.indices(lat_shape).reshape(len(lateral), int(np.prod(lat_shape))).T
-               + lo[list(lateral)]).astype(float)
-        cells = np.arange(lo[axis], hi[axis], dtype=float)
-        z = int(-lo[axis])  # position of the base node along the axis
-        vals = np.zeros((len(lat), len(cells) + 1, n))
-        rows = max(1, EVAL_CHUNK // len(cells))
-        for a in range(0, len(lat), rows):
-            b = min(len(lat), a + rows)
-            pts = np.empty((b - a, len(cells), n))
+        a, b = (int(e) for e in span)
+        top, z = flat.shape[1] - 1, -origin  # z: the base node's position
+        cells = (np.r_[0:a, b:top] + origin).astype(float)  # below and above the span
+        if not len(rows) or not len(cells):
+            return
+        step = max(1, EVAL_CHUNK // len(cells))
+        for i in range(0, len(rows), step):
+            r = rows[i:i + step]
+            pts = np.empty((len(r), len(cells), n))
             pts[:] = base
-            pts[:, :, list(lateral)] = base[list(lateral)] + lat[a:b, None, :] * h
-            acc = np.zeros((b - a, len(cells), n))
+            pts[:, :, lateral] = base[lateral] + lat[i:i + step, None, :] * h
+            acc = np.zeros((len(r), len(cells), n))
             for sub in range(SUBSTEPS):
                 pts[:, :, axis] = base[axis] + (cells + (sub + 0.5) / SUBSTEPS) * h
                 q = pts.reshape(-1, n)
                 hats = _inverse(self.sigma.evaluate(q), q, stage)
-                acc += hats[:, :, axis].reshape(b - a, len(cells), n)
+                acc += hats[:, :, axis].reshape(len(r), len(cells), n)
             acc *= h / SUBSTEPS
-            # cumulative sums outward from the base node
-            vals[a:b, z + 1:] = np.cumsum(acc[:, z:], axis=1)
-            vals[a:b, :z] = -np.cumsum(acc[:, :z][:, ::-1], axis=1)[:, ::-1]
-        present = list(lateral) + [axis]
-        missing = [d for d in range(n) if d not in present]
-        vals = vals.reshape(lat_shape + [len(cells) + 1] + [1] * len(missing) + [n])
-        return vals.transpose(list(np.argsort(present + missing)) + [n])
+            # cells a.. run up from position b, cells a-1..0 down from a
+            if b < top:
+                if b != z:
+                    acc[:, a] += flat[r, b]
+                flat[r, b + 1:] = np.cumsum(acc[:, a:], axis=1)
+            if a > 0:
+                if a != z:
+                    acc[:, a - 1] -= flat[r, a]
+                flat[r, :a] = -np.cumsum(acc[:, a - 1::-1], axis=1)[:, ::-1]
 
     def _index(self, x: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(x)):
@@ -187,8 +224,7 @@ class _PotentialTable:
         t = self._index(x)
         lo = np.minimum(self.lo, np.floor(t.min(axis=0)))
         hi = np.maximum(np.maximum(self.hi, np.ceil(t.max(axis=0))), lo + 1)
-        if self.values is not None and np.array_equal(lo, self.lo) \
-                and np.array_equal(hi, self.hi):
+        if np.array_equal(lo, self.lo) and np.array_equal(hi, self.hi):
             return
         nodes = int(np.prod(hi - lo + 1))
         if nodes > TABLE_NODE_BUDGET:
@@ -199,7 +235,7 @@ class _PotentialTable:
                 f"budget of {TABLE_NODE_BUDGET}",
                 {"stage": stage, "point": far.tolist(), "nodes": nodes,
                  "node_budget": TABLE_NODE_BUDGET})
-        self._build(lo.astype(int), hi.astype(int), stage)
+        self._grow(lo.astype(int), hi.astype(int), stage)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.cover(x, "g query")
@@ -284,12 +320,14 @@ def solve_nd(sigma: MatrixBV, base, region, *, quad_step: float = 5e-4) -> DossM
     at the probes.  Any failure raises a refusal carrying the offending
     report — coefficients whose inverse field carries circulation across its
     jump locus admit no single-valued potential, and the refusal is the
-    correct outcome.  A query outside the table grows it, up to
+    correct outcome.  Each piece of work runs once: the distortion check
+    once per distinct value of sigma at the probes, and a query outside the
+    table grows it by integrating only the nodes it adds, up to
     TABLE_NODE_BUDGET nodes; beyond that the query refuses, naming the point
-    and the budget.  At the default quad_step the budget holds a region of
-    about 14.5 units per side in 2-D and 1.0 unit per side in 3-D (2896^2
-    and 203^3 nodes); a larger region refuses while the table is built, or
-    needs a coarser quad_step.
+    and the budget, and the table stays as it was.  At the default quad_step
+    the budget holds a region of about 14.5 units per side in 2-D and 1.0
+    unit per side in 3-D (2896^2 and 203^3 nodes); a larger region refuses
+    while the table is built, or needs a coarser quad_step.
     """
     if not quad_step > 0:
         raise ValueError(f"quad_step must be positive, got {quad_step}")

@@ -120,11 +120,15 @@ def _unit_open(config: dict, key: str, default=None) -> float:
 
 
 def _levels(config: dict) -> tuple:
-    """At least two resolution levels, integers >= 1 (default 5, 7, 9)."""
+    """At least two distinct resolution levels, integers >= 1 (default 5, 7,
+    9): a repeated level would fit the growth exponent through one point."""
     levels = config.get("levels", (5, 7, 9))
     if not isinstance(levels, (list, tuple)) or len(levels) < 2:
         raise ConfigError(f"config field 'levels' must list at least 2 levels, got {levels!r}")
-    return tuple(_need({"levels": L}, "levels", int, low=1) for L in levels)
+    levels = tuple(_need({"levels": L}, "levels", int, low=1) for L in levels)
+    if len(set(levels)) < len(levels):
+        raise ConfigError(f"config field 'levels' must list distinct levels, got {list(levels)}")
+    return levels
 
 
 def _vector(config: dict, key: str, default: list) -> np.ndarray:

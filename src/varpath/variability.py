@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class VariabilityParams:
             raise ValueError("p must be >= 1 (np.inf allowed)")
         if len(self.levels) < 2:
             raise ValueError("need at least 2 levels")
+        if len(set(self.levels)) < len(self.levels):
+            raise ValueError(f"levels must be distinct, got {tuple(self.levels)}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,10 @@ class VariabilityReport:
     max_log_residual: float
     verdict: str  # finite | diverging | inconclusive
     neighborhood: dict = field(default_factory=dict)
+    # rho = (N3 - N2)/(N2 - N1) over the three finest levels, and its rate
+    # log rho / log(h1/h2) when they are equally spaced; None where undefined
+    difference_ratio: Optional[float] = None
+    difference_rate: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
@@ -84,6 +90,8 @@ class VariabilityReport:
             "max_log_residual": self.max_log_residual,
             "verdict": self.verdict,
             "neighborhood": self.neighborhood,
+            "difference_ratio": self.difference_ratio,
+            "difference_rate": self.difference_rate,
         }
 
 
@@ -140,12 +148,32 @@ def classify(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
     return classify_sweep(path, phi, [params.s], params)[0]
 
 
+def _difference_ratio(levels: tuple, caps: tuple, norms: tuple) -> tuple:
+    """rho = (N3 - N2)/(N2 - N1) over the norms at the three finest levels,
+    and the rate log rho / log(h1/h2) where those levels are equally spaced
+    (h1/h2 = h2/h3): N(h) = a + b h^kappa gives rho = (h1/h2)^-kappa < 1, a
+    norm growing like h^-beta gives rho = (h1/h2)^beta > 1 (Aitken's
+    delta^2).  Each is None where it is undefined."""
+    if len(norms) < 3:
+        return None, None
+    (l1, h1, n1), (l2, h2, n2), (l3, _, n3) = sorted(zip(levels, caps, norms))[-3:]
+    if not np.all(np.isfinite([n1, n2, n3])) or n2 == n1:
+        return None, None
+    rho = float((n3 - n2) / (n2 - n1))
+    if rho <= 0 or l3 - l2 != l2 - l1:
+        return rho, None
+    return rho, float(np.log(rho) / np.log(h1 / h2))
+
+
 def _fit_verdict(params: VariabilityParams, levels: tuple, caps: tuple,
                  norms: tuple, neighborhood: dict) -> VariabilityReport:
-    """Growth-exponent fit and verdict from the per-level L^p norms at one s."""
+    """Growth-exponent fit and verdict from the per-level L^p norms at one s,
+    with the successive-difference ratio of the norms (which the verdict
+    does not read)."""
+    rho = _difference_ratio(levels, caps, norms)
     if max(norms) <= 0.0:
         return VariabilityReport(params.s, params.p, levels, caps, norms,
-                                 0.0, 1.0, 0.0, "finite", neighborhood)
+                                 0.0, 1.0, 0.0, "finite", neighborhood, *rho)
     x = np.log(1.0 / np.asarray(caps))
     y = np.log(np.maximum(norms, 1e-300))
     slope, intercept = np.polyfit(x, y, 1)
@@ -161,7 +189,7 @@ def _fit_verdict(params: VariabilityParams, levels: tuple, caps: tuple,
     else:
         verdict = "inconclusive"
     return VariabilityReport(params.s, params.p, levels, caps, norms,
-                             float(slope), float(r2), max_resid, verdict, neighborhood)
+                             float(slope), float(r2), max_resid, verdict, neighborhood, *rho)
 
 
 def classify_sweep(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
@@ -199,9 +227,15 @@ def require_finite(path: SampledPath, phi: Union[ScalarBV, MatrixBV],
             f"variability classifier returned 'diverging'{' for ' + context if context else ''}: "
             f"growth exponent {report.growth_exponent:.4f} > {DIVERGENCE_THRESHOLD:.2f}, "
             f"R² {report.r_squared:.3f} ≥ {R_SQUARED_FLOOR:g}, "
-            f"max log residual {report.max_log_residual:.3f} ≤ {LOG_RESIDUAL_CAP:g}",
+            f"max log residual {report.max_log_residual:.3f} ≤ {LOG_RESIDUAL_CAP:g}; "
+            f"difference ratio ρ {_fmt(report.difference_ratio)}, "
+            f"rate {_fmt(report.difference_rate)}",
             report)
     return report
+
+
+def _fmt(value: Optional[float]) -> str:
+    return "undefined" if value is None else f"{value:.4f}"
 
 
 def compose(phi: ScalarBV, path: SampledPath) -> GridFunction:

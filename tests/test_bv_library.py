@@ -259,11 +259,27 @@ def _distortion_loop(sigma, probes, n_directions=720):
     return kappa, delta
 
 
-@pytest.mark.parametrize("sigma", [cantor_matrix(), jump_line_matrix(2.0)],
-                         ids=["cantor", "jump_line(2)"])
+def _distortion_all_probes(sigma, probes, n_directions=720):
+    """distortion_check's formulas over every probe, duplicates included."""
+    ang = np.linspace(0, 2 * np.pi, n_directions, endpoint=False)
+    xis = np.column_stack([np.cos(ang), np.sin(ang)])
+    A = sigma.evaluate(probes)
+    Ainv, det = batch_inverse(A)
+    op = np.linalg.svd(Ainv, compute_uv=False)[:, 0]
+    Axi = xis @ np.swapaxes(A, 1, 2)
+    num = np.einsum("di,pdi->pd", xis, Axi)
+    den = np.linalg.norm(Axi, axis=2)
+    return float((op ** 2 * det).max()), float((num[den > 0] / den[den > 0]).min())
+
+
+@pytest.mark.parametrize("sigma", [cantor_matrix(), jump_line_matrix(2.0), cone_matrix(1.0, 2.0)],
+                         ids=["cantor", "jump_line(2)", "cone(1,2)"])
 def test_distortion_check_matches_per_probe_loop(sigma):
     probes = np.random.default_rng(3).uniform(-2, 2, (64, 2))
     rep = distortion_check(sigma, probes)
     kappa, delta = _distortion_loop(sigma, probes)
     assert rep["kappa"] == pytest.approx(kappa, rel=1e-12)
     assert rep["delta"] == pytest.approx(delta, rel=1e-12)
+    # the check runs once per distinct value of sigma (two for the jump
+    # and the cone): a max and a min over probes, so the bits do not move
+    assert (rep["kappa"], rep["delta"]) == _distortion_all_probes(sigma, probes)

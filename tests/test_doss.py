@@ -3,11 +3,13 @@ import pytest
 
 from varpath.bv_library import (MatrixBV, ScalarBV, cantor_matrix, cone_matrix,
                                 constant_scalar, jump_line_matrix)
-from varpath.doss import (BVGradientMap, DossMaps, SolveRefusal, build_solution,
-                          change_of_variable_check, closed_form_maps, residual,
-                          solve_nd, uniqueness_check)
+from varpath.doss import (SUBSTEPS, BVGradientMap, DossMaps, SolveRefusal, _PotentialTable,
+                          build_solution, change_of_variable_check, closed_form_maps,
+                          residual, solve_nd, uniqueness_check)
 from varpath.grid_paths import SampledPath, TimeGrid, make_fbm
 from varpath.measures import DiscreteMeasure
+
+from test_bv_library import _sigma_3d
 
 
 def scalar_coeff(fn, dim=1):
@@ -343,6 +345,71 @@ def test_solve_nd_growth_keeps_node_values():
         grown.g(np.array([[0.0, -0.8], [1e4, 0.0], [0.9, 0.1]]))
     assert exc.value.report["point"] == [1e4, 0.0]
     assert np.array_equal(grown.g(xs), fresh)
+
+
+def test_refused_growth_leaves_the_table_unchanged():
+    # det sigma changes sign at x1 = 1: a g query beyond it refuses while the
+    # table grows, and the table keeps answering as before, and can grow
+    flip = ScalarBV(2, lambda p: np.where(p[:, 0] < 1.0, 2.0, -2.0), None)
+    zero = constant_scalar(0.0, 2)
+    sigma = MatrixBV(2, ((flip, zero), (zero, constant_scalar(1.0, 2))))
+    maps = solve_nd(sigma, np.array([-0.3, -0.3]), np.array([[-0.5, 0.5], [-0.5, 0.5]]))
+    xs = np.random.default_rng(5).uniform(-0.5, 0.5, (200, 2))
+    before = maps.g(xs)
+    with pytest.raises(SolveRefusal, match="g query: det sigma"):
+        maps.g(np.array([[1.5, 0.0]]))
+    assert np.array_equal(maps.g(xs), before)
+    assert np.allclose(maps.g(np.array([[0.9, -0.9]])), [[0.6, -0.6]], rtol=0, atol=1e-12)
+
+
+def _counted(sigma, calls):
+    """sigma with its (0, 0) entry recording how many points it evaluates."""
+    e = sigma.entries[0][0]
+
+    def ev(pts):
+        calls.append(len(pts))
+        return e.evaluate(pts)
+
+    first = (ScalarBV(e.dim, ev, e.gradient_measure, name=e.name),) + sigma.entries[0][1:]
+    return MatrixBV(sigma.dim, (first,) + sigma.entries[1:])
+
+
+@pytest.mark.parametrize("sigma, h, order, corners, beyond", [
+    (jump_line_matrix(2.0), 5e-3, (0, 1), [[-0.5, -0.5], [0.5, 0.5]],
+     [[0.9, -0.8], [-1.1, 0.7]]),
+    (jump_line_matrix(1.5), 5e-3, (1, 0), [[-0.2, -0.4], [0.3, 0.1]],
+     [[-0.7, 0.6], [0.8, -0.9]]),
+    (_sigma_3d(), 0.02, (0, 1, 2), [[-0.2, -0.1, -0.15], [0.3, 0.15, 0.2]],
+     [[-0.5, 0.4, -0.3], [0.45, -0.35, 0.5]]),
+    (_sigma_3d(), 0.02, (2, 0, 1), [[-0.2, -0.1, -0.15], [0.3, 0.15, 0.2]],
+     [[-0.5, 0.4, -0.3], [0.45, -0.35, 0.5]])],
+    ids=["2-D", "2-D reverse order", "3-D", "3-D order (2, 0, 1)"])
+def test_grown_table_equals_a_table_built_on_the_grown_box(sigma, h, order, corners, beyond):
+    # growth past both ends of every axis keeps the old nodes and integrates
+    # only the cells it adds: the table then equals, bit for bit, one built
+    # on the grown box, and sigma was evaluated at exactly the sub-steps
+    # that building the grown box costs beyond building the old one
+    base = np.full(sigma.dim, -0.05)
+    corners, beyond = np.array(corners), np.array(beyond)
+    old_calls, grow_calls, fresh_calls = [], [], []
+    table = _PotentialTable(_counted(sigma, old_calls), base, h, order, corners, "build")
+    lo, hi = table.lo, table.hi
+    assert np.all(table.lo < 0) and np.all(table.hi > 0)
+    table.sigma = _counted(sigma, grow_calls)
+    table.cover(beyond, "g query")
+    assert np.all(table.lo < lo) and np.all(table.hi > hi)
+    fresh = _PotentialTable(_counted(sigma, fresh_calls), base, h, order,
+                            np.vstack([corners, beyond]), "build")
+    assert np.array_equal(fresh.lo, table.lo) and np.array_equal(fresh.hi, table.hi)
+    assert fresh.values.tobytes() == table.values.tobytes()
+
+    def cells(lo, hi):  # cells of every leg's domain: its lateral rows times its axis cells
+        size = hi - lo + 1
+        return sum(int(np.prod(size[list(order[:k])])) * int(size[a] - 1)
+                   for k, a in enumerate(order))
+
+    assert sum(grow_calls) == SUBSTEPS * (cells(table.lo, table.hi) - cells(lo, hi))
+    assert sum(grow_calls) == sum(fresh_calls) - sum(old_calls)
 
 
 def test_solve_nd_constant_coefficient_3d():

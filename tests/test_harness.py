@@ -218,7 +218,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
             (["solve", "--example", "jump_line", "--hurst", "0.7", "--N", "64",
               "--x0", "a,b"], None, "'x0'"),
             (["sweep"], {"study": "variability", "path": "fbm", "N": 64, "hurst": 0.7,
-                         "coefficient": "cantor", "grid": {"s": 0.3}}, "'s'")]):
+                         "coefficient": "cantor", "grid": {"s": 0.3}}, "'s'"),
+            # a repeated level would fit the growth exponent through one point
+            (["variability"], {"path": "fbm", "N": 64, "hurst": 0.7, "coefficient": "cantor",
+                               "s": 0.5, "levels": [5, 5]}, "'levels'")]):
         out = tmp_path / f"case_{i}"
         if config is not None:
             (tmp_path / f"case_{i}.json").write_text(json.dumps(config))

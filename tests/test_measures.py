@@ -199,7 +199,8 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     # call that uses it
     assert _fresh_process("import sys, varpath; " + SCIPY_LOADED).strip() == "[]"
     # a Doss solve, its queries and a solution load none of scipy, and
-    # neither does a solve that the curl check refuses
+    # neither does a solve that the curl check refuses; nor do they load
+    # numpy.ma (which np.unique(..., axis=0) would)
     solve = textwrap.dedent("""\
         import sys
         import numpy as np
@@ -216,8 +217,8 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
             raise AssertionError("the cone solve was not refused")
         except SolveRefusal as exc:
             assert "cross-derivative symmetry" in str(exc)
-        """) + SCIPY_LOADED
-    assert _fresh_process(solve).strip() == "[]"
+        """) + SCIPY_LOADED + "\nprint('numpy.ma' in sys.modules)"
+    assert _fresh_process(solve).split() == ["[]", "False"]
 
 
 def test_pairing_residual_and_validate_leave_scipy_signal_unloaded():

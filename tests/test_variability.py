@@ -38,6 +38,8 @@ def test_params_validation():
         VariabilityParams(s=0.5, p=np.nan)
     with pytest.raises(ValueError):
         VariabilityParams(s=0.5, levels=(8,))
+    with pytest.raises(ValueError, match="distinct"):
+        VariabilityParams(s=0.5, levels=(5, 5))
 
 
 def test_frozen_verdict_triple():
@@ -110,7 +112,34 @@ def test_require_finite_raises_with_report():
     assert rep.verdict == "diverging"
     # the refusal names each number of the fit against its threshold
     assert (f"growth exponent {rep.growth_exponent:.4f} > 0.10, R² {rep.r_squared:.3f} ≥ 0.9, "
-            f"max log residual {rep.max_log_residual:.3f} ≤ 0.5") in str(exc.value)
+            f"max log residual {rep.max_log_residual:.3f} ≤ 0.5; "
+            f"difference ratio ρ {rep.difference_ratio:.4f}, "
+            f"rate {rep.difference_rate:.4f}") in str(exc.value)
+
+
+def test_difference_ratio_of_criterion_5_inputs():
+    # rho = (N3 - N2)/(N2 - N1) exceeds 1 where the norms keep growing (the
+    # origin and the segment on the Cantor set) and falls below it where
+    # they settle (the gap point); levels two apart give rate log_4 rho
+    phi = cantor_coefficient(2)
+    params = VariabilityParams(s=0.8, p=1.0, levels=(6, 8, 10))
+    seg = make_linear_path(np.array([0.0, 1.0]), np.array([1.0 / 3.0, 0.0]), GRID)
+    for path, rho in [(make_constant_path(np.zeros(2), GRID), 1.273),
+                      (seg, 1.147), (make_constant_path(np.array([0.5, 0.0]), GRID), 0.028)]:
+        rep = classify(path, phi, params)
+        n1, n2, n3 = rep.lp_norms
+        assert rep.difference_ratio == (n3 - n2) / (n2 - n1)
+        assert rep.difference_ratio == pytest.approx(rho, abs=5e-4)
+        assert rep.difference_rate == pytest.approx(np.log(rep.difference_ratio) / np.log(4.0))
+        assert rep.to_dict()["difference_ratio"] == rep.difference_ratio
+    # undefined without three levels, and no rate for unequal spacings
+    rep = classify(seg, phi, VariabilityParams(s=0.8, p=1.0, levels=(6, 8)))
+    assert (rep.difference_ratio, rep.difference_rate) == (None, None)
+    rep = classify(seg, phi, VariabilityParams(s=0.8, p=1.0, levels=(5, 6, 8)))
+    assert rep.difference_ratio > 1 and rep.difference_rate is None
+    # the ratio reads the levels from coarse to fine, in whatever order given
+    rep = classify(seg, phi, VariabilityParams(s=0.8, p=1.0, levels=(10, 6, 8)))
+    assert rep.difference_ratio == pytest.approx(1.147, abs=5e-4)
 
 
 def test_inflated_box_contains_range():
