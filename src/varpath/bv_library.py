@@ -43,105 +43,96 @@ def level_scale(level: int) -> float:
 # Cantor staircase machinery
 # ---------------------------------------------------------------------------
 
-def cantor_function(x):
-    """The Cantor staircase on [0,1], clamped to 0 below and 1 above.
-
-    Ternary-digit recursion, exact to double precision after 60 steps.
-    """
+def _branches(x, top, below, above, inside):
+    """``below`` on x <= 0, ``above`` on x >= top, ``inside`` in between;
+    a float for 0-d x, else an array of x's shape."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    z = np.clip(x, 0.0, 1.0).ravel().copy()
-    out = np.zeros_like(z)
-    factor = np.full_like(z, 0.5)
-    active = np.ones(z.shape, dtype=bool)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    lo, hi = flat <= 0.0, flat >= top
+    mid = ~(lo | hi)
+    out[lo] = below(flat[lo])
+    out[hi] = above(flat[hi])
+    out[mid] = inside(flat[mid])
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _staircase_walk(z):
+    """(C(z), I(z)) for z in (0, 1): the Cantor staircase and its integral,
+    from one walk down the ternary digits of z.  On the left third
+    C(z) = C(3z)/2 and I(z) = I(3z)/6; on the middle third C = 1/2 and
+    I(z) = 1/12 + (z - 1/3)/2, where the walk stops; on the right third
+    C(z) = 1/2 + C(3z - 2)/2 and I(z) = 1/4 + (z - 2/3)/2 + I(3z - 2)/6.
+    Exact to double precision after 60 digits."""
+    C, I = np.zeros_like(z), np.zeros_like(z)
+    at = np.arange(z.size)  # points still walking
+    c_unit, i_unit = 0.5, 1.0  # weights of the current digit in C and in I
     for _ in range(60):
-        if not active.any():
+        if not at.size:
             break
-        z3 = z * 3.0
-        low = active & (z3 < 1.0)
-        mid = active & (z3 >= 1.0) & (z3 <= 2.0)
-        high = active & (z3 > 2.0)
-        z[low] = z3[low]
-        out[mid] += factor[mid]
-        active = active & ~mid
-        out[high] += factor[high]
-        z[high] = z3[high] - 2.0
-        factor[low | high] *= 0.5
-    out[np.asarray(x).ravel() >= 1.0] = 1.0
-    out[np.asarray(x).ravel() <= 0.0] = 0.0
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+        z3 = 3.0 * z
+        mid = (z3 >= 1.0) & (z3 <= 2.0)
+        high = z3 > 2.0
+        C[at[mid | high]] += c_unit
+        I[at[mid]] += i_unit * (1.0 / 12.0 + (z[mid] - 1.0 / 3.0) / 2.0)
+        I[at[high]] += i_unit * (0.25 + (z[high] - 2.0 / 3.0) / 2.0)
+        on = ~mid
+        at, z = at[on], np.where(high, z3 - 2.0, z3)[on]
+        c_unit *= 0.5
+        i_unit /= 6.0
+    return C, I
+
+
+def _cumulative_inverse_walk(y):
+    """z in (0, 1) with Phi(z) = z + I(z) = y, for y in (0, 3/2), by one walk
+    down the ternary digits of z.  It keeps the equation as r = a w + b I(w)
+    with z = s w + o, from r = y, a = b = s = 1, o = 0.  The left third of w
+    takes (a, b, s) to (a/3, b/6, s/3); the right third also subtracts
+    2a/3 + b/4 from r, adds b/6 to a and 2s/3 to o; the middle third solves
+    w = (r + b/12) / (a + b/2) and stops.  After 40 digits z = o."""
+    z = np.empty_like(y)
+    at = np.arange(y.size)  # points still walking
+    r, a, o = y.copy(), np.ones_like(y), np.zeros_like(y)
+    b = s = 1.0  # the same at every point still walking
+    for _ in range(40):
+        if not at.size:
+            break
+        cut = 2.0 * a / 3.0 + b / 4.0  # r at w = 2/3 (a/3 + b/12 at w = 1/3)
+        right = r > cut
+        mid = ~right & (r >= a / 3.0 + b / 12.0)
+        z[at[mid]] = s * (r[mid] + b / 12.0) / (a[mid] + b / 2.0) + o[mid]
+        on = ~mid
+        at, r = at[on], np.where(right, r - cut, r)[on]
+        o = np.where(right, o + 2.0 * s / 3.0, o)[on]
+        a = (a / 3.0 + np.where(right, b / 6.0, 0.0))[on]
+        b /= 6.0
+        s /= 3.0
+    z[at] = o
+    return z
+
+
+def cantor_function(x):
+    """The Cantor staircase on [0,1], clamped to 0 below and 1 above."""
+    return _branches(x, 1.0, lambda v: 0.0, lambda v: 1.0, lambda v: _staircase_walk(v)[0])
 
 
 def cantor_integral(z):
-    """I(z) = int_0^z cantor_function, for z in [0,1]; self-similar recursion
-    (I(1) = 1/2), exact to double precision."""
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    w = np.clip(z, 0.0, 1.0).ravel().copy()
-    acc = np.zeros_like(w)
-    mul = np.ones_like(w)
-    active = np.ones(w.shape, dtype=bool)
-    for _ in range(60):
-        if not active.any():
-            break
-        low = active & (w <= 1.0 / 3.0)
-        mid = active & (w > 1.0 / 3.0) & (w < 2.0 / 3.0)
-        high = active & (w >= 2.0 / 3.0)
-        # I(w) = I(3w)/6 on the left third
-        w[low] *= 3.0
-        mul[low] /= 6.0
-        # I(w) = 1/12 + (w - 1/3)/2 on the middle third: terminal
-        acc[mid] += mul[mid] * (1.0 / 12.0 + (w[mid] - 1.0 / 3.0) / 2.0)
-        active = active & ~mid
-        # I(w) = 1/4 + (w - 2/3)/2 + I(3w - 2)/6 on the right third
-        acc[high] += mul[high] * (0.25 + (w[high] - 2.0 / 3.0) / 2.0)
-        w[high] = 3.0 * w[high] - 2.0
-        mul[high] /= 6.0
-    zr = np.asarray(z, dtype=float).ravel()
-    acc[zr >= 1.0] = 0.5
-    acc[zr <= 0.0] = 0.0
-    return float(acc[0]) if scalar else acc.reshape(np.shape(z))
+    """I(z) = int_0^z cantor_function, for z in [0,1] (I(1) = 1/2), clamped
+    to 0 below and 1/2 above."""
+    return _branches(z, 1.0, lambda v: 0.0, lambda v: 0.5, lambda v: _staircase_walk(v)[1])
 
 
 def cantor_cumulative(z):
     """Phi(z) = int_0^z (1 + cantor_function); Phi(z) = z for z <= 0 and
     Phi(z) = 2z - 1/2 for z >= 1; strictly increasing with slope in [1,2]."""
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    zr = z.ravel()
-    out = np.empty_like(zr)
-    lo = zr <= 0.0
-    hi = zr >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = zr[lo]
-    out[hi] = 2.0 * zr[hi] - 0.5
-    out[mid] = zr[mid] + cantor_integral(zr[mid])
-    return float(out[0]) if scalar else out.reshape(np.shape(z))
+    return _branches(z, 1.0, lambda v: v, lambda v: 2.0 * v - 0.5,
+                     lambda v: v + cantor_integral(v))
 
 
 def cantor_cumulative_inverse(x):
-    """Monotone inverse of cantor_cumulative, by bisection on [0,1] where
-    no closed form applies."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xr = x.ravel()
-    out = np.empty_like(xr)
-    lo_mask = xr <= 0.0
-    hi_mask = xr >= 1.5
-    out[lo_mask] = xr[lo_mask]
-    out[hi_mask] = (xr[hi_mask] + 0.5) / 2.0
-    mid = ~(lo_mask | hi_mask)
-    if mid.any():
-        target = xr[mid]
-        a = np.zeros_like(target)
-        b = np.ones_like(target)
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            too_big = cantor_cumulative(m) > target
-            b = np.where(too_big, m, b)
-            a = np.where(too_big, a, m)
-        out[mid] = 0.5 * (a + b)
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    """The inverse of cantor_cumulative: x for x <= 0, (x + 1/2)/2 for
+    x >= 3/2, and one ternary walk in between."""
+    return _branches(x, 1.5, lambda v: v, lambda v: (v + 0.5) / 2.0, _cumulative_inverse_walk)
 
 
 def cantor_level_atoms(depth: int) -> np.ndarray:
@@ -443,21 +434,13 @@ def cantor_shear_entry22() -> ScalarBV:
         # each x1 cell scans every Cantor atom
         _check_atoms("cantor_shear_22", level, _cantor_atoms(depth, box, [0], h))
         base = cantor_cumulative(cantor_level_atoms(depth))  # atoms in w
-        mass = 2.0 ** (-depth)
         centers, cw = _lateral_grid(box[0, 0], box[0, 1], h)
-        locs, ws = [], []
-        for x1, _ in zip(centers, range(len(centers))):
-            shift = max(x1, 0.0)
-            x2 = base + shift
-            keep = (x2 >= box[1, 0]) & (x2 <= box[1, 1])
-            if not keep.any():
-                continue
-            dens = np.sqrt(2.0) if x1 > 0 else 1.0
-            locs.append(np.column_stack([np.full(keep.sum(), x1), x2[keep]]))
-            ws.append(np.full(keep.sum(), mass * cw * dens))
-        if not locs:
-            return DiscreteMeasure(2, np.zeros((0, 2)), np.zeros(0))
-        return DiscreteMeasure(2, np.vstack(locs), np.concatenate(ws))
+        # the atoms of each x1 cell, shifted by x1 * 1_{x1>0}, inside the box
+        x2 = base + np.maximum(centers, 0.0)[:, None]
+        cell, atom = np.nonzero((x2 >= box[1, 0]) & (x2 <= box[1, 1]))
+        dens = np.where(centers[cell] > 0, np.sqrt(2.0), 1.0)
+        return DiscreteMeasure(2, np.column_stack([centers[cell], x2[cell, atom]]),
+                               2.0 ** (-depth) * cw * dens)
 
     return ScalarBV(2, ev, grad, sup_bound=2.0, name="cantor_shear_22")
 

@@ -81,16 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_mesh(spec: str) -> list:
-    """'2^8..2^13' -> [256, 512, ..., 8192]; plain comma lists also accepted."""
+    """'2^8..2^13' or '256..8192' -> [256, 512, ..., 8192]; plain comma lists
+    also accepted.  A range bound that is not a power of two is refused."""
     try:
         if ".." in spec:
-            lo, hi = spec.split("..")
-            lo_e = int(lo.split("^")[1]) if "^" in lo else int(lo).bit_length() - 1
-            hi_e = int(hi.split("^")[1]) if "^" in hi else int(hi).bit_length() - 1
-            return [2 ** k for k in range(lo_e, hi_e + 1)]
+            lo, hi = (2 ** int(b[2:]) if b.startswith("2^") else int(b) for b in spec.split(".."))
+            if not all(isinstance(n, int) and n > 0 and n & (n - 1) == 0 for n in (lo, hi)):
+                raise ValueError(spec)
+            return [2 ** k for k in range(lo.bit_length() - 1, hi.bit_length())]
         return [int(tok) for tok in spec.split(",")]
-    except (ValueError, IndexError):
-        raise ConfigError(f"--mesh (config field 'meshes') must be like 2^8..2^13, got {spec!r}")
+    except ValueError:
+        raise ConfigError(f"--mesh (config field 'meshes') must be like 2^8..2^13, with "
+                          f"powers of two as range bounds, got {spec!r}")
 
 
 def _build_config(args: argparse.Namespace) -> dict:

@@ -183,8 +183,8 @@ def estimate_holder(path: SampledPath) -> HolderEstimate:
         return HolderEstimate(exponent=1.0, seminorm=0.0, degenerate=True)
     lags = np.asarray(lags)
     maxima = np.asarray(maxima)
-    # restrict the regression to the smaller half of the lags: large lags
-    # saturate at the path oscillation and flatten the slope
+    # regress on the smallest two thirds of the lags (at least two): large
+    # lags saturate at the path oscillation and flatten the slope
     half = max(2, len(lags) * 2 // 3)
     slope = np.polyfit(np.log(lags[:half]), np.log(maxima[:half]), 1)[0]
     alpha = float(min(1.0, max(slope, 1e-6)))

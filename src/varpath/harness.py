@@ -385,6 +385,8 @@ def run_sweep(config: dict, seed: int, out_dir: str, threads: int = 1) -> int:
     """Cartesian product over config['grid'] = {field: [values...]}, running
     config['study'] per cell with a per-cell derived seed.  Cell failures
     are captured in the table; the sweep always completes."""
+    if threads < 1:
+        raise ConfigError(f"--threads (sweep option 'threads') must be at least 1, got {threads}")
     grid_spec = _need(config, "grid", dict)
     if not grid_spec:
         raise ConfigError("sweep grid must be nonempty")

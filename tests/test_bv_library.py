@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from oracles import cantor_cumulative_inverse_bisection, cantor_digit_loop
 from varpath.bv_library import (MatrixBV, ScalarBV, _flat_profile, batch_inverse,
-                                cantor_coefficient, cantor_function, cantor_integral,
+                                cantor_coefficient, cantor_cumulative,
+                                cantor_cumulative_inverse, cantor_function, cantor_integral,
                                 cantor_level_atoms, cantor_matrix, cayley_inverse,
                                 cone_indicator, cone_matrix, constant_scalar,
                                 curl_check, distortion_check, halfplane_below_line,
@@ -34,6 +36,50 @@ def test_cantor_integral_endpoints():
     xs = np.linspace(0, 0.7, 20001)
     riemann = np.trapezoid(cantor_function(xs), xs)
     assert cantor_integral(np.array([0.7]))[0] == pytest.approx(riemann, abs=1e-4)
+
+
+def _level_12_endpoints():
+    # both ends of every level-12 construction interval: points of the
+    # Cantor set with a finite ternary expansion
+    left = cantor_level_atoms(12)
+    return np.concatenate([left, left + 3.0 ** -12])
+
+
+def test_cantor_walk_matches_the_digit_loops():
+    # 10^5 uniform points in (0, 1), the level-12 endpoints, both outer
+    # branches and the cuts: C bit for bit, I to a few units of its last digits
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 100_000), _level_12_endpoints(),
+                        rng.uniform(-0.5, 0.0, 1000), rng.uniform(1.0, 1.5, 1000),
+                        [0.0, 1.0 / 9, 0.25, 1.0 / 3, 2.0 / 3, 0.75, 1.0]])
+    C, I = cantor_digit_loop(x)
+    assert np.array_equal(cantor_function(x), C)
+    assert np.max(np.abs(cantor_integral(x) - I)) < 1e-17
+    phi = cantor_cumulative(x)
+    inside = (x > 0) & (x < 1)
+    assert np.array_equal(phi[~inside], np.where(x[~inside] <= 0, x[~inside],
+                                                 2 * x[~inside] - 0.5))
+    assert np.all(np.abs(phi[inside] - (x[inside] + I[inside])) <= np.spacing(phi[inside]))
+
+
+def test_cantor_cumulative_inverse_is_exact():
+    # images of the level-12 endpoints (where Phi's slope jumps), 10^5
+    # uniform values in (0, 3/2), both outer branches and the branch cuts
+    rng = np.random.default_rng(6)
+    y = np.concatenate([cantor_cumulative(_level_12_endpoints()),
+                        rng.uniform(0.0, 1.5, 100_000), rng.uniform(-0.5, 0.0, 1000),
+                        rng.uniform(1.5, 2.0, 1000), [0.0, 1.0 / 12 + 1.0 / 3, 1.5]])
+    z = cantor_cumulative_inverse(y)
+    tol = 1e-15 * (1.0 + np.abs(y))
+    assert np.all(np.abs(cantor_cumulative(z) - y) <= tol)
+    inside = (y > 0) & (y < 1.5)
+    assert np.all(np.abs(z[inside] - cantor_cumulative_inverse_bisection(y[inside]))
+                  <= tol[inside])
+    assert np.array_equal(z[y <= 0], y[y <= 0])
+    assert np.array_equal(z[y >= 1.5], (y[y >= 1.5] + 0.5) / 2)
+    z = cantor_cumulative_inverse(0.75)
+    assert isinstance(z, float) and abs(z - 5.0 / 9) < 1e-15
+    assert cantor_cumulative_inverse(np.zeros((2, 0, 3))).shape == (2, 0, 3)
 
 
 def test_cantor_level_atoms_count_and_support():

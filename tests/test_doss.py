@@ -98,7 +98,7 @@ def test_closed_form_cantor_shear_inverse_pair():
     rng = np.random.default_rng(1)
     ys = rng.uniform(-1.5, 1.5, (300, 2))
     back = maps.g(maps.f(ys))
-    assert np.max(np.abs(back - ys)) < 1e-6
+    assert np.max(np.abs(back - ys)) < 1e-15  # Phi's inverse is exact
 
 
 def test_closed_form_cone_right_inverse_on_range():

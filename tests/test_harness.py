@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import varpath
-from varpath.cli import main as cli_main
+from varpath.cli import _parse_mesh, main as cli_main
 from varpath.harness import (EXIT_FAILURE, EXIT_OK, EXIT_REFUSAL, ConfigError,
                              coefficient_from_config, config_digest,
                              path_from_config, run_integrate, run_path,
@@ -172,7 +172,6 @@ def test_cli_path_and_exit_codes(tmp_path):
     assert (tmp_path / "path.csv").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     r = run_cli(["path", "--path", "warp", "--N", "128",
                  "--out-dir", str(tmp_path)], cwd=str(tmp_path))
@@ -208,6 +207,11 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
               "--rate", "--mesh", "3,5,7,9"], None, "'meshes'"),
             (["integrate", "--coefficient", "constant", "--hurst", "0.7", "--N", "256",
               "--rate", "--mesh", "x..y"], None, "'meshes'"),
+            # a range bound that is not a power of two is refused, not rounded down
+            (["integrate", "--coefficient", "constant", "--hurst", "0.7", "--N", "1024",
+              "--rate", "--mesh", "300..1000"], None, "--mesh"),
+            (["integrate", "--coefficient", "constant", "--hurst", "0.7", "--N", "1024",
+              "--rate", "--mesh", "2^8..300"], None, "--mesh"),
             (["integrate"], {"coefficient": "constant", "hurst": 0.7, "N": 256, "rate": True,
                              "meshes": "abc"}, "'meshes'"),
             # an integer field refuses a fraction or a boolean instead of reading a number
@@ -219,6 +223,11 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
               "--x0", "a,b"], None, "'x0'"),
             (["sweep"], {"study": "variability", "path": "fbm", "N": 64, "hurst": 0.7,
                          "coefficient": "cantor", "grid": {"s": 0.3}}, "'s'"),
+            # a sweep on fewer than one thread used to run serially
+            (["sweep", "--threads", "0"], {"study": "path", "path": "fbm", "N": 64,
+                                           "grid": {"hurst": [0.7]}}, "'threads'"),
+            (["sweep", "--threads", "-2"], {"study": "path", "path": "fbm", "N": 64,
+                                            "grid": {"hurst": [0.7]}}, "'threads'"),
             # a repeated level would fit the growth exponent through one point
             (["variability"], {"path": "fbm", "N": 64, "hurst": 0.7, "coefficient": "cantor",
                                "s": 0.5, "levels": [5, 5]}, "'levels'")]):
@@ -249,7 +258,6 @@ def test_cli_overflow_is_a_refusal(tmp_path, capsys):
         assert not (out / "integrate_report.json").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_huge_gradient_measure_is_a_refusal(tmp_path, capsys):
     # a path with a huge range inflates the box that the Cantor measure's
     # lateral grid covers, and a huge level refines it: refused before the
@@ -273,6 +281,12 @@ def test_cli_huge_gradient_measure_is_a_refusal(tmp_path, capsys):
                               f"at level {level} needs up to "), err
         assert "over the budget of 4194304 (MAX_ATOMS)" in err, err
         assert not (out / "variability_report.json").exists()
+
+
+def test_parse_mesh_reads_power_of_two_ranges_and_lists():
+    for spec in ("256..8192", "2^8..2^13"):
+        assert _parse_mesh(spec) == [256, 512, 1024, 2048, 4096, 8192]
+    assert _parse_mesh("3,5,7,9") == [3, 5, 7, 9]
 
 
 def test_cli_threads_only_on_sweep(capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from varpath.bv_library import (ScalarBV, cantor_coefficient, constant_scalar,
+from varpath.bv_library import (ScalarBV, cantor_coefficient, cantor_matrix, constant_scalar,
                                 halfplane_below_line, halfplane_x1_positive)
+from varpath.doss import _subsampled, build_solution, closed_form_maps
 from varpath.grid_paths import TimeGrid, make_constant_path, make_fbm, make_linear_path
 from varpath.gridfun import GridFunction
 from varpath.measures import DiscreteMeasure, KernelPolicy
@@ -140,6 +141,24 @@ def test_difference_ratio_of_criterion_5_inputs():
     # the ratio reads the levels from coarse to fine, in whatever order given
     rep = classify(seg, phi, VariabilityParams(s=0.8, p=1.0, levels=(10, 6, 8)))
     assert rep.difference_ratio == pytest.approx(1.147, abs=5e-4)
+
+
+@pytest.mark.parametrize("seed, N, rho", [(1412297367, 4096, 0.494), (1474806113, 16384, 0.593),
+                                          (1244563293, 4096, 0.706), (1094767427, 4096, 0.664),
+                                          (380877853, 4096, 0.583)])
+def test_refused_cantor_shear_noises_have_contracting_differences(seed, N, rho):
+    # H = 0.8 fBm noises Y whose cantor_shear solution the residual
+    # precondition refuses as 'diverging' (the residual_decay benchmark draws
+    # them at its seeds 3 and 12, 5, and 7 and 9): yet the norms' successive
+    # differences shrink (rho < 1), so the growth is a transient, not a
+    # divergence
+    Y = make_fbm(0.8, 2, TimeGrid(1.0, N), seed=seed)
+    X = build_solution(closed_form_maps("cantor_shear"), Y, (0.3, 0.4))
+    rep = classify(_subsampled(X), cantor_matrix(),
+                   VariabilityParams(s=0.45, p=1, levels=(5, 7, 9)))
+    assert rep.verdict == "diverging"
+    assert rep.difference_ratio < 1
+    assert rep.difference_ratio == pytest.approx(rho, abs=5e-4)
 
 
 def test_inflated_box_contains_range():
