@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: path, variability, integrate, solve, validate, sweep.  Each
-reads an optional JSON config (--config), applies CLI overrides, runs the
-matching harness runner, and writes artifacts plus a manifest to --out-dir.
+reads an optional JSON config (--config), sets the config field of each
+flag given, runs the harness runner of the same name, and writes artifacts
+plus a manifest to --out-dir.
 
 Exit codes: 0 ok, 2 config error, 3 numerical refusal (a precondition of
 the mathematics failed, e.g. the variability classifier returned
@@ -17,15 +18,43 @@ import json
 import os
 import sys
 
-from .harness import (EXIT_CONFIG, EXIT_REFUSAL, REFUSALS, ConfigError, run_integrate,
-                      run_path, run_solve, run_sweep, run_validate,
-                      run_variability)
+from .harness import (EXIT_CONFIG, EXIT_REFUSAL, PATH_FIELDS, REFUSALS, RUNNERS,
+                      ConfigError, run_sweep)
 
+#: every flag beyond --config, --seed and --out-dir, declared once; a flag's
+#: dest is the config field it sets, except --threads, a sweep option
+FLAGS = {
+    "--path": dict(help=f"path kind: {', '.join(PATH_FIELDS)}"),
+    "--hurst": dict(type=float),
+    "--N": dict(type=int),
+    "--dim": dict(type=int),
+    "--coefficient": dict(),
+    "--s": dict(type=float),
+    "--p": dict(type=float),
+    "--theta": dict(type=float),
+    "--rate": dict(action="store_true"),
+    "--mesh": dict(dest="meshes", help="mesh range like 2^8..2^13"),
+    "--example": dict(dest="coefficient", help="coefficient family name"),
+    "--x0": dict(help="comma-separated start point"),
+    "--suite": dict(default="trivial"),
+    "--threads": dict(type=int, default=1, help="configurations run at once"),
+}
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    sub.add_argument("--out-dir", default=".", help="artifact directory")
+PATH_FLAGS = ("--path", "--hurst", "--N", "--dim")
+SUBCOMMANDS = {
+    "path": ("generate and describe a sampled path", PATH_FLAGS),
+    "variability": ("run the (s,p)-variability classifier",
+                    ("--coefficient", "--s", "--p") + PATH_FLAGS),
+    "integrate": ("duality-pairing integral and rate study",
+                  ("--coefficient", "--theta", "--rate", "--mesh") + PATH_FLAGS),
+    "solve": ("build a Doss solution and verify it",
+              ("--example", "--hurst", "--N", "--theta", "--x0")),
+    "validate": ("run a self-check suite", ("--suite",)),
+    "sweep": ("parameter-grid study", ("--threads",)),
+}
+
+# namespace entries that are not config fields
+RUN_OPTIONS = ("subcommand", "config", "seed", "out_dir", "threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,50 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="varpath",
         description="pathwise Stieltjes integration experiments")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("path", help="generate and describe a sampled path")
-    _add_common(p)
-    p.add_argument("--path", dest="path_kind", choices=["fbm", "power", "linear", "constant"])
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--N", type=int)
-    p.add_argument("--dim", type=int)
-
-    p = subs.add_parser("variability", help="run the (s,p)-variability classifier")
-    _add_common(p)
-    p.add_argument("--coefficient")
-    p.add_argument("--s", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--path", dest="path_kind")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--N", type=int)
-    p.add_argument("--dim", type=int)
-
-    p = subs.add_parser("integrate", help="duality-pairing integral and rate study")
-    _add_common(p)
-    p.add_argument("--coefficient")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--rate", action="store_true")
-    p.add_argument("--mesh", help="mesh range like 2^8..2^13")
-    p.add_argument("--path", dest="path_kind")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--N", type=int)
-    p.add_argument("--dim", type=int)
-
-    p = subs.add_parser("solve", help="build a Doss solution and verify it")
-    _add_common(p)
-    p.add_argument("--example", help="coefficient family name")
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--N", type=int)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--x0", help="comma-separated start point")
-
-    p = subs.add_parser("validate", help="run a self-check suite")
-    _add_common(p)
-    p.add_argument("--suite", default="trivial")
-
-    p = subs.add_parser("sweep", help="parameter-grid study")
-    _add_common(p)
-    p.add_argument("--threads", type=int, default=1, help="configurations run at once")
+    for name, (help_text, flags) in SUBCOMMANDS.items():
+        # a flag left out sets no field, so the config file's value stands
+        p = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", default=None, help="JSON config file")
+        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        p.add_argument("--out-dir", default=".", help="artifact directory")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -102,37 +95,19 @@ def _build_config(args: argparse.Namespace) -> dict:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ConfigError("top-level config must be a JSON object")
-    overrides = {
-        "path_kind": "path", "hurst": "hurst", "N": "N", "dim": "dim",
-        "coefficient": "coefficient", "s": "s", "p": "p", "theta": "theta",
-        "suite": "suite", "example": "coefficient",
-    }
-    for attr, key in overrides.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            config[key] = val
-    if getattr(args, "rate", False):
-        config["rate"] = True
-    if getattr(args, "mesh", None):
-        config["meshes"] = _parse_mesh(args.mesh)
-    if getattr(args, "x0", None):
+    flags = {k: v for k, v in vars(args).items() if k not in RUN_OPTIONS}
+    if "meshes" in flags:
+        flags["meshes"] = _parse_mesh(flags["meshes"])
+    if "x0" in flags:
         try:
-            config["x0"] = [float(tok) for tok in args.x0.split(",")]
+            flags["x0"] = [float(tok) for tok in flags["x0"].split(",")]
         except ValueError:
             raise ConfigError(f"--x0 (config field 'x0') must list numbers, got {args.x0!r}")
-    # solve/variability default path kind: fbm driver
+    config.update(flags)
+    # variability, integrate and solve drive an fBm path unless told otherwise
     if args.subcommand in ("variability", "integrate", "solve") and "path" not in config:
         config["path"] = "fbm"
     return config
-
-
-RUNNERS = {
-    "path": run_path,
-    "variability": run_variability,
-    "integrate": run_integrate,
-    "solve": run_solve,
-    "validate": run_validate,
-}
 
 
 def main(argv=None) -> int:

@@ -83,24 +83,30 @@ class Manifest:
         return path
 
 
+JSON_TYPES = {str: "a string", bool: "true or false", list: "an array", dict: "an object"}
+
+
 def _need(config: dict, key: str, kind=None, low=None, high=None, default=None,
           finite=True):
     """Field ``key`` (or a given ``default``) as ``kind`` within [low, high];
     a float must be finite, or with ``finite=False`` not NaN.  A number
     field refuses true/false, and an int field a fractional number, rather
-    than read them as 1, 0 or the truncated value."""
+    than read them as 1, 0 or the truncated value; a str, bool, list or dict
+    field must already be a JSON string, true/false, array or object."""
     if key not in config and default is None:
         raise ConfigError(f"missing config field {key!r}")
     val = config.get(key, default)
-    if kind in (int, float) and isinstance(val, bool):
-        raise ConfigError(f"config field {key!r} must be a number, got {val!r}")
-    if kind is int and isinstance(val, float) and not val.is_integer():
-        raise ConfigError(f"config field {key!r} must be an integer, got {val!r}")
-    if kind is not None:
+    if kind in (int, float):
+        if isinstance(val, bool):
+            raise ConfigError(f"config field {key!r} must be a number, got {val!r}")
+        if kind is int and isinstance(val, float) and not val.is_integer():
+            raise ConfigError(f"config field {key!r} must be an integer, got {val!r}")
         try:
             val = kind(val)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {val!r}")
+    elif kind is not None and not isinstance(val, kind):
+        raise ConfigError(f"config field {key!r} must be {JSON_TYPES[kind]}, got {val!r}")
     if isinstance(val, float) and (np.isnan(val) or (finite and np.isinf(val))):
         raise ConfigError(f"config field {key!r} must be {'finite' if finite else 'a number'}, "
                           f"got {val}")
@@ -164,35 +170,36 @@ def _jsonable(obj):
 # coefficient registry
 
 
+#: each coefficient family's builder, and the config fields of its
+#: parameters as (kind, default, lower bound); the closed-form maps of a
+#: matrix family take the same parameters
+FAMILIES = {
+    "constant": (constant_scalar, {"value": (float, 1.0, None), "dim": (int, 2, 1)}),
+    "cantor": (cantor_coefficient, {"dim": (int, 2, 1)}),
+    "jump_line": (jump_line_matrix, {"c": (float, 2.0, None)}),
+    "cone": (cone_matrix, {"a": (float, 1.0, None), "b": (float, 2.0, None)}),
+    "cantor_shear": (cantor_matrix, {}),
+}
+
+
+def family_from_config(config: dict):
+    """The builder of the family named by config['coefficient'], and its
+    parameters read from the config."""
+    name = _need(config, "coefficient", str)
+    if name not in FAMILIES:
+        raise ConfigError(f"unknown coefficient {name!r}")
+    build, fields = FAMILIES[name]
+    return build, {key: _need(config, key, kind, default=default, low=low)
+                   for key, (kind, default, low) in fields.items()}
+
+
 def coefficient_from_config(config: dict):
     """Build a ScalarBV/MatrixBV from {'coefficient': name, ...params}."""
-    name = _need(config, "coefficient", str)
-    build = {"constant": constant_scalar, "cantor": cantor_coefficient,
-             "jump_line": jump_line_matrix, "cone": cone_matrix,
-             "cantor_shear": cantor_matrix}.get(name)
-    if build is None:
-        raise ConfigError(f"unknown coefficient {name!r}")
-    params = maps_params_from_config(config)
+    build, params = family_from_config(config)
     try:
         return build(**params)
     except ValueError as exc:  # a parameter outside the family's range
-        raise ConfigError(f"coefficient {name!r}: {exc}") from exc
-
-
-def maps_params_from_config(config: dict) -> dict:
-    """Parameters of the named coefficient family (and of its closed-form maps)."""
-    name = config["coefficient"]
-    if name == "constant":
-        return {"value": _need(config, "value", float, default=1.0),
-                "dim": _need(config, "dim", int, default=2, low=1)}
-    if name == "cantor":
-        return {"dim": _need(config, "dim", int, default=2, low=1)}
-    if name == "jump_line":
-        return {"c": _need(config, "c", float, default=2.0)}
-    if name == "cone":
-        return {"a": _need(config, "a", float, default=1.0),
-                "b": _need(config, "b", float, default=2.0)}
-    return {}
+        raise ConfigError(f"coefficient {config['coefficient']!r}: {exc}") from exc
 
 
 # the config fields, besides 'N', that each path kind's values depend on
@@ -227,6 +234,16 @@ def path_from_config(config: dict, seed: int):
         raise ConfigError(f"config fields {fields} of path {kind!r}: {exc}") from exc
 
 
+def inputs_from_config(config: dict, seed: int):
+    """The run's path and coefficient, refused unless their dimensions agree."""
+    path = path_from_config(config, seed)
+    phi = coefficient_from_config(config)
+    if phi.dim != path.dim:
+        raise ConfigError(f"coefficient {config['coefficient']!r} has dimension {phi.dim}, "
+                          f"the path has dimension {path.dim}")
+    return path, phi
+
+
 # ---------------------------------------------------------------------------
 # runners
 
@@ -250,11 +267,7 @@ def run_path(config: dict, seed: int, out_dir: str) -> int:
 
 
 def run_variability(config: dict, seed: int, out_dir: str) -> int:
-    path = path_from_config(config, seed)
-    phi = coefficient_from_config(config)
-    if phi.dim != path.dim:
-        raise ConfigError(f"coefficient {config['coefficient']!r} has dimension {phi.dim}, "
-                          f"the path has dimension {path.dim}")
+    path, phi = inputs_from_config(config, seed)
     params = VariabilityParams(
         s=_unit_open(config, "s"),
         p=_need(config, "p", float, default=1.0, low=1.0, finite=False),
@@ -268,8 +281,7 @@ def run_variability(config: dict, seed: int, out_dir: str) -> int:
 
 
 def run_integrate(config: dict, seed: int, out_dir: str) -> int:
-    path = path_from_config(config, seed)
-    phi = coefficient_from_config(config)
+    path, phi = inputs_from_config(config, seed)
     theta = _unit_open(config, "theta", default=0.3)
     if isinstance(phi, MatrixBV):
         raise ConfigError("integrate needs a scalar coefficient")
@@ -278,7 +290,7 @@ def run_integrate(config: dict, seed: int, out_dir: str) -> int:
     g = GridFunction(path.grid, path.values[:, 0].copy())
     manifest = Manifest("integrate", config, seed)
     payload = {"theta": theta, "value": gls_integrate(f, g, theta)}
-    if config.get("rate"):
+    if _need(config, "rate", bool, default=False):
         meshes = [_need({"meshes": m}, "meshes", int) for m in
                   _need(config, "meshes", list, default=[2 ** k for k in range(4, 9)])]
         try:
@@ -293,12 +305,11 @@ def run_integrate(config: dict, seed: int, out_dir: str) -> int:
 
 
 def run_solve(config: dict, seed: int, out_dir: str) -> int:
-    sigma = coefficient_from_config(config)
+    _need(config, "N", int, low=4)  # the residual estimates Holder exponents
+    driver, sigma = inputs_from_config(config, seed)
     if isinstance(sigma, ScalarBV):
         raise ConfigError("solve needs a matrix coefficient")
-    maps = closed_form_maps(config["coefficient"], **maps_params_from_config(config))
-    _need(config, "N", int, low=4)  # the residual estimates Holder exponents
-    driver = path_from_config(config, seed)
+    maps = closed_form_maps(config["coefficient"], **family_from_config(config)[1])
     x0 = _vector(config, "x0", [1.0, 1.0])
     if x0.shape != (sigma.dim,):
         raise ConfigError(f"config field 'x0' must have {sigma.dim} entries, got {x0.tolist()}")
@@ -355,6 +366,10 @@ def run_validate(config: dict, seed: int, out_dir: str) -> int:
     return EXIT_OK if not failures else EXIT_FAILURE
 
 
+RUNNERS = {"path": run_path, "variability": run_variability, "integrate": run_integrate,
+           "solve": run_solve, "validate": run_validate}
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -388,16 +403,17 @@ def run_sweep(config: dict, seed: int, out_dir: str, threads: int = 1) -> int:
     if threads < 1:
         raise ConfigError(f"--threads (sweep option 'threads') must be at least 1, got {threads}")
     grid_spec = _need(config, "grid", dict)
-    if not grid_spec:
-        raise ConfigError("sweep grid must be nonempty")
-    study = config.get("study", "variability")
-    runner = {"path": run_path, "variability": run_variability,
-              "integrate": run_integrate, "solve": run_solve}.get(study)
-    if runner is None:
-        raise ConfigError(f"unknown sweep study {study!r}")
-    base = {k: v for k, v in config.items() if k not in ("grid", "study")}
     keys = sorted(grid_spec)
-    values = [_need(grid_spec, k, list) for k in keys]  # each a list of values
+    values = [_need(grid_spec, k, list) for k in keys]
+    if not values or not all(values):
+        raise ConfigError(f"config field 'grid' must map fields to nonempty arrays, "
+                          f"got {grid_spec!r}")
+    study = _need(config, "study", str, default="variability")
+    if study not in RUNNERS or study == "validate":
+        raise ConfigError(f"config field 'study' must name a runner other than validate, "
+                          f"got {study!r}")
+    runner = RUNNERS[study]
+    base = {k: v for k, v in config.items() if k not in ("grid", "study")}
     cells = [dict(zip(keys, combo)) for combo in product(*values)]
     manifest = Manifest("sweep", config, seed)
     if threads > 1:

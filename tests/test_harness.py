@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import varpath
+from varpath.bv_library import MatrixBV
 from varpath.cli import _parse_mesh, main as cli_main
-from varpath.harness import (EXIT_FAILURE, EXIT_OK, EXIT_REFUSAL, ConfigError,
-                             coefficient_from_config, config_digest,
+from varpath.doss import closed_form_maps
+from varpath.harness import (EXIT_FAILURE, EXIT_OK, EXIT_REFUSAL, FAMILIES, RUNNERS,
+                             ConfigError, coefficient_from_config, config_digest,
                              path_from_config, run_integrate, run_path,
                              run_solve, run_sweep, run_validate,
                              run_variability)
@@ -51,6 +53,25 @@ def test_coefficient_and_path_builders_validate():
                 {"coefficient": "cone", "a": 3.0, "b": 2.0}):
         with pytest.raises(ConfigError):
             coefficient_from_config(bad)
+
+
+def test_family_table_builds_and_its_maps_invert():
+    # every family builds from the table's defaults; a matrix family's
+    # closed-form maps read exactly the table's parameters, and g inverts f
+    rng = np.random.default_rng(0)
+    for name, (build, fields) in FAMILIES.items():
+        params = {key: default for key, (_, default, _) in fields.items()}
+        coef = coefficient_from_config({"coefficient": name})
+        assert type(coef) is type(build(**params)) and coef.name == build(**params).name
+        if not isinstance(coef, MatrixBV):
+            continue
+        maps = closed_form_maps(name, **params)
+        for key in params:
+            with pytest.raises(KeyError):
+                closed_form_maps(name, **{k: v for k, v in params.items() if k != key})
+        probes = rng.uniform(-3, 3, size=(500, coef.dim))
+        err = np.abs(maps.g(maps.f(probes)) - probes).max()
+        assert maps.dim == coef.dim and err <= 1e-9, (name, err)
 
 
 def test_run_path_outputs_and_manifest(tmp_path):
@@ -214,6 +235,11 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
               "--rate", "--mesh", "2^8..300"], None, "--mesh"),
             (["integrate"], {"coefficient": "constant", "hurst": 0.7, "N": 256, "rate": True,
                              "meshes": "abc"}, "'meshes'"),
+            # a string is not an array of meshes, nor "no" a false rate
+            (["integrate"], {"coefficient": "constant", "hurst": 0.7, "N": 256, "rate": True,
+                             "meshes": "1632"}, "'meshes'"),
+            (["integrate"], {"coefficient": "constant", "hurst": 0.7, "N": 256,
+                             "rate": "no"}, "'rate'"),
             # an integer field refuses a fraction or a boolean instead of reading a number
             (["integrate"], {"coefficient": "constant", "hurst": 0.7, "N": 256, "rate": True,
                              "meshes": [16.9, 32, 64, 128]}, "'meshes'"),
@@ -223,6 +249,21 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
               "--x0", "a,b"], None, "'x0'"),
             (["sweep"], {"study": "variability", "path": "fbm", "N": 64, "hurst": 0.7,
                          "coefficient": "cantor", "grid": {"s": 0.3}}, "'s'"),
+            # a string axis is not a list of its characters, an empty axis
+            # makes no cell, and a study is one runner's name
+            (["sweep"], {"study": "path", "path": "fbm", "N": 64, "grid": {"hurst": "0.55"}},
+             "'hurst'"),
+            (["sweep"], {"study": "path", "path": "fbm", "N": 64, "grid": {"dim": []}}, "'grid'"),
+            (["sweep"], {"study": ["path"], "path": "fbm", "N": 64, "grid": {"hurst": [0.7]}},
+             "'study'"),
+            (["sweep"], {"study": "validate", "grid": {"suite": ["trivial"]}}, "'study'"),
+            # integrate and solve refuse a path and a coefficient of other dimensions
+            (["integrate"], {"path": "linear", "velocity": [1, 1, 1], "start": [0, 0, 0],
+                             "N": 64, "coefficient": "constant"},
+             "coefficient 'constant' has dimension 2, the path has dimension 3"),
+            (["solve"], {"path": "linear", "velocity": [1, 1, 1], "start": [0, 0, 0],
+                         "N": 64, "coefficient": "jump_line"},
+             "coefficient 'jump_line' has dimension 2, the path has dimension 3"),
             # a sweep on fewer than one thread used to run serially
             (["sweep", "--threads", "0"], {"study": "path", "path": "fbm", "N": 64,
                                            "grid": {"hurst": [0.7]}}, "'threads'"),
@@ -312,6 +353,36 @@ def test_cli_integer_fields_accept_integral_floats(tmp_path):
         outputs.append([(out / "path" / "path.csv").read_text(),
                         read_json(out / "integrate", "integrate_report.json")])
     assert outputs[0] == outputs[1]
+
+
+def test_cli_flags_set_their_config_fields(tmp_path):
+    # each flag sets the config field named by its dest: a command line and
+    # a direct runner call on the equivalent config write the same files
+    for args, config in [
+            (["path", "--path", "fbm", "--hurst", "0.7", "--N", "64", "--dim", "2"],
+             {"path": "fbm", "hurst": 0.7, "N": 64, "dim": 2}),
+            (["variability", "--path", "fbm", "--hurst", "0.7", "--N", "64", "--dim", "2",
+              "--coefficient", "cantor", "--s", "0.5", "--p", "2"],
+             {"path": "fbm", "hurst": 0.7, "N": 64, "dim": 2, "coefficient": "cantor",
+              "s": 0.5, "p": 2.0}),
+            (["integrate", "--path", "fbm", "--hurst", "0.8", "--N", "256", "--dim", "1",
+              "--coefficient", "constant", "--theta", "0.4", "--rate", "--mesh", "2^4..2^7"],
+             {"path": "fbm", "hurst": 0.8, "N": 256, "dim": 1, "coefficient": "constant",
+              "theta": 0.4, "rate": True, "meshes": [16, 32, 64, 128]}),
+            (["solve", "--example", "jump_line", "--hurst", "0.75", "--N", "256",
+              "--theta", "0.35", "--x0", "1,1"],
+             {"path": "fbm", "coefficient": "jump_line", "hurst": 0.75, "N": 256,
+              "theta": 0.35, "x0": [1.0, 1.0]}),
+            (["validate"], {"suite": "trivial"})]:
+        cli_out, direct_out = tmp_path / args[0] / "cli", tmp_path / args[0] / "direct"
+        assert cli_main(args + ["--seed", "3", "--out-dir", str(cli_out)]) == EXIT_OK, args
+        direct_out.mkdir()
+        assert RUNNERS[args[0]](config, 3, str(direct_out)) == EXIT_OK, args
+        names = sorted(path.name for path in cli_out.iterdir())
+        assert names == sorted(path.name for path in direct_out.iterdir())
+        assert "manifest.json" in names and len(names) >= 2
+        for name in names:
+            assert (cli_out / name).read_bytes() == (direct_out / name).read_bytes(), name
 
 
 def test_cli_validate(tmp_path):
