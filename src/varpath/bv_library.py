@@ -10,7 +10,10 @@ read.  At integer ``level`` the measure resolves spatial scale
 Included: the Cantor staircase coefficient, indicator coefficients
 (half-plane, cone), piecewise-constant matrix coefficients (jump line,
 cone, Cantor shear), and structural checks (curl residual of the inverse
-field, distortion/angular constants).
+field, distortion/angular constants).  Every indicator, and the cone
+matrix's off-diagonal entry, is one plane sector from ``_sector``: a
+height inside its sides, half of it on its edges, and a gradient measure
+that is the height times arclength on the edges.
 
 Every matrix inverse and determinant in the package comes from one batched
 routine, ``batch_inverse``, which inverts a stack (m, n, n) in one pass (the
@@ -22,7 +25,7 @@ determinant.  The one determinant floor, ``doss.DET_FLOOR``, is doss's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -283,56 +286,63 @@ def cantor_coefficient(dim: int) -> ScalarBV:
 
 
 def _segment_measure(p0: np.ndarray, p1: np.ndarray, box: np.ndarray, level: int,
-                     density: float, dim: int, name: str) -> DiscreteMeasure:
-    """Arclength measure with the given density on the segment [p0, p1]
-    clipped to the box, discretized at arclength spacing 2**-level; ``name``
+                     name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and weights of arclength on the plane segment [p0, p1] clipped
+    to the box (2, 2), discretized at arclength spacing 2**-level; ``name``
     is the coefficient's, for a refusal."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    box = np.asarray(box, dtype=float).reshape(dim, 2)
     # clip the parameter range to the box
     t_lo, t_hi = 0.0, 1.0
     d = p1 - p0
-    for k in range(dim):
+    for k in range(2):
         if d[k] != 0:
             ta = (box[k, 0] - p0[k]) / d[k]
             tb = (box[k, 1] - p0[k]) / d[k]
             t_lo = max(t_lo, min(ta, tb))
             t_hi = min(t_hi, max(ta, tb))
         elif not (box[k, 0] <= p0[k] <= box[k, 1]):
-            return DiscreteMeasure(dim, np.zeros((0, dim)), np.zeros(0))
+            return np.zeros((0, 2)), np.zeros(0)
     if t_hi <= t_lo:
-        return DiscreteMeasure(dim, np.zeros((0, dim)), np.zeros(0))
+        return np.zeros((0, 2)), np.zeros(0)
     with np.errstate(over="ignore", divide="ignore"):  # inf: refused just below
         seg_len = np.linalg.norm(d) * (t_hi - t_lo)
         M = max(2.0, np.ceil(seg_len / level_scale(level)))
     _check_atoms(name, level, M)
     M = int(M)
     ts = t_lo + (t_hi - t_lo) * (np.arange(M) + 0.5) / M
-    loc = p0[None, :] + ts[:, None] * d[None, :]
-    w = np.full(M, density * seg_len / M)
-    return DiscreteMeasure(dim, loc, w)
+    return p0[None, :] + ts[:, None] * d[None, :], np.full(M, seg_len / M)
+
+
+def _sector(name: str, sides: tuple, ends: tuple, height: float) -> ScalarBV:
+    """``height`` on the open plane sector where every side function of
+    (x1, x2) is > 0, ``height/2`` where all are >= 0 and one is 0 (its edges
+    and vertex: the average of the one-sided limits), 0 elsewhere; its
+    gradient measure is ``height`` times arclength on the edge segments
+    ``ends`` ((p0, p1) pairs, end points per unit span of the box) inside
+    the requested box."""
+
+    def ev(pts):
+        pts = np.atleast_2d(pts)
+        values = [side(pts[:, 0], pts[:, 1]) for side in sides]
+        inside = np.logical_and.reduce([s > 0 for s in values])
+        closed = np.logical_and.reduce([s >= 0 for s in values])
+        # the rare edge points go last: np.where runs slower on a mixed mask
+        return np.where(closed ^ inside, 0.5 * height, np.where(inside, height, 0.0))
+
+    def grad(box, level):
+        box = np.asarray(box, dtype=float).reshape(2, 2)
+        span = max(abs(box).max(), 1.0) * 2.0
+        locs, weights = zip(*(_segment_measure(span * np.array(p0), span * np.array(p1),
+                                               box, level, name) for p0, p1 in ends))
+        return DiscreteMeasure(2, np.vstack(locs), height * np.concatenate(weights))
+
+    return ScalarBV(2, ev, grad, sup_bound=height, name=name)
 
 
 def halfplane_below_line(c: float) -> ScalarBV:
     """Indicator of {c*x1 < x2} in the plane; gradient measure = arclength
     on the line x2 = c*x1 inside the requested box."""
-    name = f"halfplane(c={c})"
-
-    def ev(pts):
-        pts = np.atleast_2d(pts)
-        s = pts[:, 1] - c * pts[:, 0]
-        out = np.where(s > 0, 1.0, 0.0)
-        return np.where(s == 0, 0.5, out)
-
-    def grad(box, level):
-        box = np.asarray(box, dtype=float).reshape(2, 2)
-        span = max(abs(box).max(), 1.0) * 2.0
-        p0 = np.array([-span, -c * span])
-        p1 = np.array([span, c * span])
-        return _segment_measure(p0, p1, box, level, density=1.0, dim=2, name=name)
-
-    return ScalarBV(2, ev, grad, sup_bound=1.0, name=name)
+    return _sector(f"halfplane(c={c})", (lambda x1, x2: x2 - c * x1,),
+                   (((-1.0, -c), (1.0, c)),), 1.0)
 
 
 def jump_line_matrix(c: float) -> MatrixBV:
@@ -347,33 +357,17 @@ def jump_line_matrix(c: float) -> MatrixBV:
     return MatrixBV(2, e, name=f"jump_line(c={c})")
 
 
+def _cone(a: float, b: float, height: float) -> ScalarBV:
+    """The open cone {(a/b) x1 < x2 < (b/a) x1} at ``height``."""
+    return _sector(f"cone({a},{b})", (lambda x1, x2: x2 - (a / b) * x1,
+                                      lambda x1, x2: (b / a) * x1 - x2),
+                   (((0.0, 0.0), (1.0, a / b)), ((0.0, 0.0), (1.0, b / a))), height)
+
+
 def cone_indicator(a: float, b: float) -> ScalarBV:
     """Indicator of the open cone {(a/b) x1 < x2 < (b/a) x1} (x1 > 0);
     gradient measure = arclength on the two boundary rays."""
-    name = f"cone({a},{b})"
-
-    def ev(pts):
-        pts = np.atleast_2d(pts)
-        x1, x2 = pts[:, 0], pts[:, 1]
-        s1 = x2 - (a / b) * x1
-        s2 = (b / a) * x1 - x2
-        inside = (s1 > 0) & (s2 > 0)
-        on_edge = ((s1 == 0) & (s2 >= 0)) | ((s2 == 0) & (s1 >= 0))
-        out = np.where(inside, 1.0, 0.0)
-        return np.where(on_edge & ~inside, 0.5, out)
-
-    def grad(box, level):
-        box = np.asarray(box, dtype=float).reshape(2, 2)
-        span = max(abs(box).max(), 1.0) * 2.0
-        parts = []
-        for slope in (a / b, b / a):
-            parts.append(_segment_measure(np.zeros(2), np.array([span, slope * span]),
-                                          box, level, density=1.0, dim=2, name=name))
-        loc = np.vstack([p.locations for p in parts])
-        w = np.concatenate([p.weights for p in parts])
-        return DiscreteMeasure(2, loc, w)
-
-    return ScalarBV(2, ev, grad, sup_bound=1.0, name=name)
+    return _cone(a, b, 1.0)
 
 
 def cone_matrix(a: float, b: float) -> MatrixBV:
@@ -381,16 +375,7 @@ def cone_matrix(a: float, b: float) -> MatrixBV:
     slopes a/b and b/a; determinant b^2 outside, b^2 - a^2 inside."""
     if not (0 < a < b):
         raise ValueError("need 0 < a < b")
-    ind = cone_indicator(a, b)
-
-    def scaled_ev(pts):
-        return a * ind.evaluate(pts)
-
-    def scaled_grad(box, level):
-        mu = ind.gradient_measure(box, level)
-        return DiscreteMeasure(2, mu.locations, a * mu.weights)
-
-    off = ScalarBV(2, scaled_ev, scaled_grad, sup_bound=a, name=f"a*cone({a},{b})")
+    off = replace(_cone(a, b, a), name=f"a*cone({a},{b})")  # a refusal names the cone
     e = (
         (constant_scalar(b, 2), off),
         (off, constant_scalar(b, 2)),
@@ -401,19 +386,7 @@ def cone_matrix(a: float, b: float) -> MatrixBV:
 def halfplane_x1_positive() -> ScalarBV:
     """Indicator of {x1 > 0} in the plane; gradient measure = arclength on
     the vertical axis."""
-
-    def ev(pts):
-        pts = np.atleast_2d(pts)
-        out = np.where(pts[:, 0] > 0, 1.0, 0.0)
-        return np.where(pts[:, 0] == 0, 0.5, out)
-
-    def grad(box, level):
-        box = np.asarray(box, dtype=float).reshape(2, 2)
-        span = max(abs(box).max(), 1.0) * 2.0
-        return _segment_measure(np.array([0.0, -span]), np.array([0.0, span]),
-                                box, level, density=1.0, dim=2, name="halfplane_x1")
-
-    return ScalarBV(2, ev, grad, sup_bound=1.0, name="halfplane_x1")
+    return _sector("halfplane_x1", (lambda x1, x2: x1,), (((0.0, -1.0), (0.0, 1.0)),), 1.0)
 
 
 def cantor_shear_entry22() -> ScalarBV:

@@ -36,7 +36,7 @@ FLAGS = {
     "--mesh": dict(dest="meshes", help="mesh range like 2^8..2^13"),
     "--example": dict(dest="coefficient", help="coefficient family name"),
     "--x0": dict(help="comma-separated start point"),
-    "--suite": dict(default="trivial"),
+    "--suite": dict(),
     "--threads": dict(type=int, default=1, help="configurations run at once"),
 }
 
@@ -104,9 +104,12 @@ def _build_config(args: argparse.Namespace) -> dict:
         except ValueError:
             raise ConfigError(f"--x0 (config field 'x0') must list numbers, got {args.x0!r}")
     config.update(flags)
-    # variability, integrate and solve drive an fBm path unless told otherwise
+    # variability, integrate and solve drive an fBm path unless told otherwise,
+    # and validate runs the trivial suite
     if args.subcommand in ("variability", "integrate", "solve") and "path" not in config:
         config["path"] = "fbm"
+    if args.subcommand == "validate" and "suite" not in config:
+        config["suite"] = "trivial"
     return config
 
 

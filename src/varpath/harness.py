@@ -90,20 +90,21 @@ def _need(config: dict, key: str, kind=None, low=None, high=None, default=None,
           finite=True):
     """Field ``key`` (or a given ``default``) as ``kind`` within [low, high];
     a float must be finite, or with ``finite=False`` not NaN.  A number
-    field refuses true/false, and an int field a fractional number, rather
-    than read them as 1, 0 or the truncated value; a str, bool, list or dict
-    field must already be a JSON string, true/false, array or object."""
+    field must be a JSON number, not a string or true/false, and an int
+    field refuses a fractional number rather than truncate it; a str, bool,
+    list or dict field must already be a JSON string, true/false, array or
+    object."""
     if key not in config and default is None:
         raise ConfigError(f"missing config field {key!r}")
     val = config.get(key, default)
     if kind in (int, float):
-        if isinstance(val, bool):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"config field {key!r} must be a number, got {val!r}")
         if kind is int and isinstance(val, float) and not val.is_integer():
             raise ConfigError(f"config field {key!r} must be an integer, got {val!r}")
         try:
             val = kind(val)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:  # an integer beyond the double range
             raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {val!r}")
     elif kind is not None and not isinstance(val, kind):
         raise ConfigError(f"config field {key!r} must be {JSON_TYPES[kind]}, got {val!r}")
@@ -138,14 +139,9 @@ def _levels(config: dict) -> tuple:
 
 
 def _vector(config: dict, key: str, default: list) -> np.ndarray:
-    """A point or direction field of finite numbers."""
-    try:
-        vec = np.asarray(config.get(key, default), dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field {key!r} must be a list of numbers")
-    if not np.all(np.isfinite(vec)):
-        raise ConfigError(f"config field {key!r} must be finite, got {vec.tolist()}")
-    return vec
+    """A point or direction field: an array of finite numbers."""
+    return np.array([_need({key: v}, key, float) for v in
+                     _need(config, key, list, default=default)])
 
 
 def _write_json(out_dir: str, name: str, payload: dict, manifest: Manifest) -> None:

@@ -12,7 +12,7 @@ from varpath.bv_library import (MatrixBV, ScalarBV, _flat_profile, batch_inverse
                                 cantor_level_atoms, cantor_matrix, cayley_inverse,
                                 cone_indicator, cone_matrix, constant_scalar,
                                 curl_check, distortion_check, halfplane_below_line,
-                                jump_line_matrix)
+                                halfplane_x1_positive, jump_line_matrix)
 
 
 def test_cantor_function_known_values():
@@ -106,17 +106,37 @@ def test_halfplane_jump_mass_scales_with_box():
     # locus x2 = 2 x1 crosses the box over x1 in [-1,1]: length 2*sqrt(5)
     assert mu.total_mass == pytest.approx(2 * np.sqrt(5), rel=0.02)
     assert np.allclose(mu.locations[:, 1], 2 * mu.locations[:, 0], atol=1e-8)
+    # the cone matrix's entry a*1_C: a times arclength on the rays of slopes
+    # 1/2 and 2 from the origin, clipped to x1 <= 1
+    mu = cone_matrix(1.5, 3.0).entries[0][1].gradient_measure(box, 8)
+    assert mu.total_mass == pytest.approx(1.5 * (np.sqrt(1.25) + np.sqrt(5)), rel=1e-12)
+    x1, x2 = mu.locations.T
+    assert np.all(x1 > 0) and np.all(np.isclose(x2, 0.5 * x1) | np.isclose(x2, 2 * x1))
 
 
-def test_cone_indicator_values():
-    # indicator of the open cone between the rays of slopes 1/3 and 3
-    phi = cone_indicator(1.0, 3.0)
-    pts = np.array([[1.0, 1.0],    # between the rays
-                    [1.0, 0.1],    # below the lower ray
-                    [1.0, 4.0],    # above the upper ray
-                    [-1.0, 0.0],   # opposite half-plane
-                    [1.0, 3.0]])   # on the upper ray
-    assert np.allclose(phi(pts), [1.0, 0.0, 0.0, 0.0, 0.5])
+# (coefficient, height, points inside, points on its edges or vertex, points outside)
+SECTORS = {
+    "halfplane": (halfplane_below_line(2.0), 1.0,
+                  [[0.0, 1.0]], [[1.0, 2.0], [-1.5, -3.0]], [[1.0, 0.0]]),
+    "x1_positive": (halfplane_x1_positive(), 1.0,
+                    [[1.0, 5.0]], [[0.0, 3.0], [-0.0, -2.0]], [[-1.0, 0.0]]),
+    # rays of slopes 1/3 and 3; the reflected ray through (-3, -1) is outside
+    "cone": (cone_indicator(1.0, 3.0), 1.0, [[1.0, 1.0]], [[3.0, 1.0], [1.0, 3.0], [0.0, 0.0]],
+             [[1.0, 0.1], [1.0, 4.0], [-1.0, 0.0], [-3.0, -1.0]]),
+    # a*1_C with rays of slopes 1/2 and 2
+    "cone_matrix": (cone_matrix(1.5, 3.0).entries[0][1], 1.5, [[1.0, 1.0]],
+                    [[2.0, 1.0], [1.0, 2.0], [0.0, 0.0]], [[1.0, 3.0], [1.0, 0.2], [-1.0, -1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", SECTORS)
+def test_cone_indicator_values(name):
+    # each indicator is its height inside, half of it on its edges and
+    # vertex (the average of the one-sided limits), and 0 outside
+    phi, height, inside, edges, outside = SECTORS[name]
+    assert phi(np.array(inside + edges + outside)).tolist() == (
+        [height] * len(inside) + [height / 2] * len(edges) + [0.0] * len(outside))
+    assert phi.sup_bound == height
 
 
 def test_constant_scalar_empty_gradient():

@@ -245,6 +245,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                              "meshes": [16.9, 32, 64, 128]}, "'meshes'"),
             (["path"], {"path": "fbm", "hurst": 0.5, "N": 64.5}, "'N'"),
             (["path"], {"path": "fbm", "hurst": 0.7, "N": 64, "dim": True}, "'dim'"),
+            # a number field refuses a JSON string instead of parsing it
+            (["path"], {"path": "fbm", "hurst": "0.55", "N": "64"}, "'N'"),
+            (["path"], {"path": "fbm", "hurst": "0.55", "N": 64}, "'hurst'"),
+            (["solve"], {"coefficient": "jump_line", "hurst": 0.7, "N": 64, "x0": ["1", "1"]},
+             "'x0'"),
+            # a config file's suite stands: no flag default overrides it
+            (["validate"], {"suite": "nightly"}, "unknown validation suite 'nightly'"),
             (["solve", "--example", "jump_line", "--hurst", "0.7", "--N", "64",
               "--x0", "a,b"], None, "'x0'"),
             (["sweep"], {"study": "variability", "path": "fbm", "N": 64, "hurst": 0.7,
@@ -532,6 +539,9 @@ CRITERION_ONLY = {
     "doss.BVGradientMap": "criterion 12: the change-of-variable formula for F(X)",
     "doss.change_of_variable_check": "criterion 12: the change-of-variable formula for F(X)",
     "measures.mutual_energy": "criterion 13: symmetry of the mutual Riesz energy",
+    "bv_library.cone_indicator":
+        "paper: the cone example's jump set, the indicator of an open cone whose gradient "
+        "measure is arclength on its two boundary rays",
     "variability.composition_bound_check":
         "paper: the composition estimate, a Gagliardo seminorm of phi(X) of order "
         "beta < alpha s bounded by the Hoelder seminorm and the variability statistic",

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from varpath.bv_library import (ScalarBV, cantor_coefficient, cantor_matrix, constant_scalar,
-                                halfplane_below_line, halfplane_x1_positive)
+from varpath.bv_library import (LOG2_OVER_LOG3, ScalarBV, cantor_coefficient, cantor_matrix,
+                                constant_scalar, halfplane_below_line, halfplane_x1_positive)
 from varpath.doss import _subsampled, build_solution, closed_form_maps
 from varpath.grid_paths import TimeGrid, make_constant_path, make_fbm, make_linear_path
 from varpath.gridfun import GridFunction
@@ -141,6 +141,23 @@ def test_difference_ratio_of_criterion_5_inputs():
     # the ratio reads the levels from coarse to fine, in whatever order given
     rep = classify(seg, phi, VariabilityParams(s=0.8, p=1.0, levels=(10, 6, 8)))
     assert rep.difference_ratio == pytest.approx(1.147, abs=5e-4)
+
+
+def test_difference_rate_on_and_off_the_cantor_set():
+    # U(x) grows like dist(x1, Cantor set)^-(s - log 2/log 3) near the
+    # support, so a vertical segment on it, at x1 = 1/3, gives norms whose
+    # successive differences grow at rate log_4 rho ~ s - log 2/log 3; the
+    # same segment in the middle gap, at x1 = 1/2, settles (rho < 1)
+    phi = cantor_coefficient(2)
+    grid = TimeGrid(1.0, 256)
+    base = VariabilityParams(s=0.5, p=1.0, levels=(5, 7, 9))
+    s_values = (0.7, 0.8, 0.9)
+    on = make_linear_path(np.array([0.0, 1.0]), np.array([1.0 / 3.0, 0.0]), grid)
+    for rep in classify_sweep(on, phi, s_values, base):
+        assert rep.difference_rate == pytest.approx(rep.s - LOG2_OVER_LOG3, abs=0.01)
+    gap = make_linear_path(np.array([0.0, 1.0]), np.array([0.5, 0.0]), grid)
+    for rep in classify_sweep(gap, phi, s_values, base):
+        assert rep.verdict == "finite" and rep.difference_ratio < 1
 
 
 @pytest.mark.parametrize("seed, N, rho", [(1412297367, 4096, 0.494), (1474806113, 16384, 0.593),
