@@ -1,14 +1,14 @@
 """Sampled paths on uniform time grids.
 
-Synthesis of fractional Brownian motion (circulant embedding, exact in
-distribution), deterministic example paths, Holder exponent/seminorm
-estimation over dyadic lags.
+Synthesis of fractional Brownian motion by one sampler, circulant
+embedding, exact in distribution at every N (its one guard refuses an
+indefinite embedding, which no H and N have shown), deterministic example
+paths, Holder exponent/seminorm estimation over dyadic lags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -66,10 +66,15 @@ class SampledPath:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def _fgn_circulant_sqrt_eigs(hurst: float, N: int) -> Optional[np.ndarray]:
+def _fgn_circulant_sqrt_eigs(hurst: float, N: int) -> np.ndarray:
     """Eigenvalues^(1/2) of the circulant embedding of the fGn covariance.
 
-    Returns None when the embedding is not nonnegative definite.
+    The embedding is nonnegative definite for every H in (0, 1) and every N
+    (Davies and Harte, Biometrika 74, 1987; Craigmile, J. Time Ser. Anal.
+    24, 2003); over H = 0.01, ..., 0.99 and N up to 16384 its least
+    eigenvalue is at least 6.4e-7 of the largest.  Round-off below 0 is
+    clipped to 0, and a least eigenvalue below -1e-10 of the largest is
+    refused.
     """
     k = np.arange(N + 1, dtype=float)
     # autocovariance of unit-step fractional Gaussian noise
@@ -77,7 +82,8 @@ def _fgn_circulant_sqrt_eigs(hurst: float, N: int) -> Optional[np.ndarray]:
     row = np.concatenate([g[: N], g[N:N + 1], g[N - 1:0:-1]])
     eigs = np.fft.fft(row).real
     if eigs.min() < -1e-10 * eigs.max():
-        return None
+        raise ValueError(f"circulant embedding of fGn at H={hurst}, N={N} is indefinite: "
+                         f"least eigenvalue {eigs.min():.6g}, largest {eigs.max():.6g}")
     return np.sqrt(np.maximum(eigs, 0.0))
 
 
@@ -90,40 +96,25 @@ def _fgn_sample_circulant(sqrt_eigs: np.ndarray, N: int, rng: np.random.Generato
     return w.real[:N]
 
 
-def _fgn_sample_cholesky(hurst: float, N: int, rng: np.random.Generator) -> np.ndarray:
-    i = np.arange(N)
-    k = np.abs(i[:, None] - i[None, :]).astype(float)
-    cov = 0.5 * ((k + 1) ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst) - 2 * k ** (2 * hurst))
-    L = np.linalg.cholesky(cov + 1e-14 * np.eye(N))
-    return L @ rng.standard_normal(N)
-
-
 def make_fbm(hurst: float, dim: int, grid: TimeGrid, seed: int) -> SampledPath:
-    """Fractional Brownian motion on the grid, exact in distribution.
+    """Fractional Brownian motion on the grid, exact in distribution at
+    every N.
 
     Each coordinate is an independent cumulative sum of fractional Gaussian
-    noise, scaled to step size dt; Y_0 = 0.  Circulant embedding is the
-    default sampler; small grids or an indefinite embedding fall back to
-    dense Cholesky.  Deterministic given (seed, hurst, N, dim).
+    noise, scaled to step size dt; Y_0 = 0.  The one sampler is circulant
+    embedding (Davies-Harte), guarded by _fgn_circulant_sqrt_eigs, which
+    refuses an indefinite embedding.  Deterministic given (seed, hurst, N,
+    dim).
     """
     if not (0.0 < hurst < 1.0):
         raise ValueError(f"hurst must lie in (0,1), got {hurst}")
     N = grid.N
     streams = np.random.SeedSequence(seed).spawn(dim)
-    method = "cholesky" if N < 256 else "circulant"
-    sqrt_eigs = None
-    if method == "circulant":
-        sqrt_eigs = _fgn_circulant_sqrt_eigs(hurst, N)
-        if sqrt_eigs is None:
-            method = "cholesky"
+    sqrt_eigs = _fgn_circulant_sqrt_eigs(hurst, N)
     scale = grid.dt ** hurst
     values = np.zeros((N + 1, dim))
     for d in range(dim):
-        rng = np.random.default_rng(streams[d])
-        if method == "circulant":
-            fgn = _fgn_sample_circulant(sqrt_eigs, N, rng)
-        else:
-            fgn = _fgn_sample_cholesky(hurst, N, rng)
+        fgn = _fgn_sample_circulant(sqrt_eigs, N, np.random.default_rng(streams[d]))
         values[1:, d] = np.cumsum(scale * fgn)
     return SampledPath(grid, dim, values)
 

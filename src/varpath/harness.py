@@ -36,6 +36,8 @@ EXIT_CONFIG = 2
 EXIT_REFUSAL = 3
 EXIT_FAILURE = 4
 
+MAX_STEPS = 2 ** 22  # most grid steps N one path may take (see path_from_config)
+
 # principled refusals: a precondition of the mathematics or of the budget failed
 REFUSALS = (VariabilityRefusal, SolveRefusal, NormOverflowError, AtomBudgetRefusal)
 
@@ -204,14 +206,16 @@ PATH_FIELDS = {"fbm": ("hurst", "horizon", "dim"), "power": ("d", "horizon"),
 
 
 def path_from_config(config: dict, seed: int):
-    """Build a SampledPath from {'path': kind, ...params}."""
+    """Build a SampledPath from {'path': kind, ...params}.  'N' is at most
+    MAX_STEPS: make_fbm's peak memory grows linearly in N, and with dim 2
+    it reached 261 MiB at N = 2**20, so about 1 GiB at the bound."""
     kind = _need(config, "path", str)
     if kind not in PATH_FIELDS:
         raise ConfigError(f"unknown path kind {kind!r}")
     horizon = _need(config, "horizon", float, default=1.0)
     if not horizon > 0:
         raise ConfigError(f"config field 'horizon' must be positive, got {horizon}")
-    grid = TimeGrid(horizon, _need(config, "N", int, low=2))
+    grid = TimeGrid(horizon, _need(config, "N", int, low=2, high=MAX_STEPS))
     dim = _need(config, "dim", int, default=2, low=1)
     try:  # values that overflow, or a parameter outside the family's range
         if kind == "fbm":

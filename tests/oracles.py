@@ -66,3 +66,61 @@ def cantor_cumulative_inverse_bisection(y):
         b = np.where(too_big, m, b)
         a = np.where(too_big, a, m)
     return 0.5 * (a + b)
+
+
+def capped_segment_potential(p0, p1, density, x, s, h):
+    """Closed form of the capped Riesz potential of order 1 - s in the plane
+    of weighted segments at the points x (m, 2): the sum over segments k of
+    density[k] * int max(|x - y|, h)^(-1-s) dy along [p0[k], p1[k]], where
+    p0, p1 are (K, 2) and density is (K,).  The reference for the atoms of
+    a gradient measure that discretize such segments.
+
+    With r the distance from x to a segment's line and u the arclength from
+    the foot of the perpendicular, the kernel is h^(-1-s) where
+    |u| < c = sqrt(h^2 - r^2), and beyond c, for 0 <= a <= b,
+
+        int_a^b (r^2 + u^2)^(-(1+s)/2) du
+            = B(1/2, s/2)/2 * r^-s * (I_y(a) - I_y(b)),   y(u) = r^2/(r^2 + u^2),
+
+    with I_y the regularized incomplete beta I_y(s/2, 1/2).  Where both y
+    exceed 1/2 the difference is taken as I_{1-y(b)}(1/2, s/2) -
+    I_{1-y(a)}(1/2, s/2), so that it keeps its relative accuracy both as
+    r -> 0 and far from the segment.  Where r <= 1e-8 h, so that r^2 may
+    underflow, it is the limit at r = 0, (a^-s - b^-s)/s, which is off by
+    O((r/h)^2), below round-off there.
+    """
+    from scipy.special import beta, betainc
+
+    p0, p1 = np.atleast_2d(p0)[:, None, :], np.atleast_2d(p1)[:, None, :]
+    x = np.atleast_2d(np.asarray(x, dtype=float))[None, :, :]
+    length = np.linalg.norm(p1 - p0, axis=2)
+    e = (p1 - p0) / length[..., None]
+    rel = x - p0
+    u0 = -np.sum(rel * e, axis=2)  # the ends' arclengths from the foot
+    u1 = u0 + length
+    r = np.abs(rel[..., 0] * e[..., 1] - rel[..., 1] * e[..., 0])
+    c = np.sqrt(np.maximum(h * h - r * r, 0.0))
+    on_line = r <= 1e-8 * h
+    r_pos = np.where(on_line, 1.0, r)
+
+    def uncapped(a, b):
+        """int_a^b (r^2 + u^2)^(-(1+s)/2) du for 0 <= a <= b, with a >= c."""
+        ya, yb = r_pos ** 2 / (r_pos ** 2 + a * a), r_pos ** 2 / (r_pos ** 2 + b * b)
+        diff = np.where(yb > 0.5,
+                        betainc(0.5, s / 2, b * b / (r_pos ** 2 + b * b))
+                        - betainc(0.5, s / 2, a * a / (r_pos ** 2 + a * a)),
+                        betainc(s / 2, 0.5, ya) - betainc(s / 2, 0.5, yb))
+        a_pos = np.where(on_line, a, 1.0)
+        b_pos = np.where(on_line, b, 1.0)
+        return np.where(on_line, (a_pos ** -s - b_pos ** -s) / s,
+                        0.5 * beta(0.5, s / 2) * r_pos ** -s * diff)
+
+    def piece(a, b):
+        """The capped kernel integrated over [a, b], 0 <= a <= b."""
+        return (h ** (-1.0 - s) * (np.minimum(b, c) - np.minimum(a, c))
+                + uncapped(np.maximum(a, c), np.maximum(b, c)))
+
+    # the part of [u0, u1] beyond the foot, and the part before it reflected
+    total = (piece(np.maximum(u0, 0.0), np.maximum(u1, 0.0))
+             + piece(np.maximum(-u1, 0.0), np.maximum(-u0, 0.0)))
+    return np.asarray(density, dtype=float) @ total

@@ -13,8 +13,8 @@ import varpath
 from varpath.bv_library import MatrixBV
 from varpath.cli import _parse_mesh, main as cli_main
 from varpath.doss import closed_form_maps
-from varpath.harness import (EXIT_FAILURE, EXIT_OK, EXIT_REFUSAL, FAMILIES, RUNNERS,
-                             ConfigError, coefficient_from_config, config_digest,
+from varpath.harness import (EXIT_FAILURE, EXIT_OK, EXIT_REFUSAL, FAMILIES, MAX_STEPS,
+                             RUNNERS, ConfigError, coefficient_from_config, config_digest,
                              path_from_config, run_integrate, run_path,
                              run_solve, run_sweep, run_validate,
                              run_variability)
@@ -278,7 +278,18 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                                             "grid": {"hurst": [0.7]}}, "'threads'"),
             # a repeated level would fit the growth exponent through one point
             (["variability"], {"path": "fbm", "N": 64, "hurst": 0.7, "coefficient": "cantor",
-                               "s": 0.5, "levels": [5, 5]}, "'levels'")]):
+                               "s": 0.5, "levels": [5, 5]}, "'levels'"),
+            # a negative master seed, on every subcommand: numpy's SeedSequence
+            # refuses it, in a traceback from a sweep and misnamed from a path
+            (["path", "--path", "fbm", "--hurst", "0.7", "--N", "8", "--dim", "2",
+              "--seed", "-1"], None, "--seed"),
+            *[([sub, "--seed", "-1"], None, "--seed")
+              for sub in ("variability", "integrate", "solve", "validate")],
+            (["sweep", "--seed", "-1"], {"study": "path", "path": "fbm", "N": 64,
+                                         "grid": {"hurst": [0.7]}}, "--seed"),
+            # a path beyond MAX_STEPS steps, which ended in numpy's memory error
+            (["path", "--path", "fbm", "--hurst", "0.7", "--N", "100000000000", "--dim", "2"],
+             None, f"'N' must be <= {MAX_STEPS}")]):
         out = tmp_path / f"case_{i}"
         if config is not None:
             (tmp_path / f"case_{i}.json").write_text(json.dumps(config))
