@@ -116,8 +116,6 @@ def _build_config(args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:  # numpy's SeedSequence refuses negative entropy
-            raise ConfigError(f"--seed (the master RNG seed) must be >= 0, got {args.seed}")
         config = _build_config(args)
         os.makedirs(args.out_dir, exist_ok=True)
         if args.subcommand == "sweep":

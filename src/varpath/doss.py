@@ -504,13 +504,13 @@ def _witness_exponent(alpha: float, gamma: float) -> float:
 def _pairing_sum(coefficients, X: SampledPath, Z: SampledPath, theta: float,
                  idx: np.ndarray, refine: int) -> np.ndarray:
     """sum_k int_0^t phi_k(X) dZ^k at the checkpoint indices idx, for the
-    coefficients phi_k in order, each a duality-pairing series."""
+    coefficients phi_k in order, each a duality-pairing series.  A series
+    costs the same at every grid time, so idx only picks what is read."""
     total = np.zeros(X.grid.N + 1)
     for k, phi in enumerate(coefficients):
         integrand = GridFunction(X.grid, phi(X.values))
         driver = GridFunction(Z.grid, Z.values[:, k])
-        total += gls_integrate_series(integrand, driver, theta, indices=idx,
-                                      refine=refine).values
+        total += gls_integrate_series(integrand, driver, theta, refine=refine).values
     return total[idx]
 
 

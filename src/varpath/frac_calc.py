@@ -58,29 +58,51 @@ def rl_integral_left(f: GridFunction, theta: float) -> GridFunction:
     return GridFunction(f.grid, out)
 
 
+def _marchaud_kernels(N: int, dt: float, theta: float):
+    """Cell moments (Q0, R, Q1c) of the kernel u^(-theta-1) over the cells
+    [k dt, (k+1) dt], k < N, with the nearest cell k = 0 zeroed (the linear
+    model cancels its singularity exactly)."""
+    k = np.arange(N, dtype=float)
+    with np.errstate(divide="ignore"):
+        Q0 = dt ** (-theta) * (k ** (-theta) - (k + 1) ** (-theta)) / theta
+    Q0[0] = 0.0
+    Q1c = dt ** (1 - theta) * ((k + 1) ** (1 - theta) - k ** (1 - theta)) / (1 - theta)
+    Q1c[0] = 0.0
+    return Q0, (k + 1) * Q0, Q1c
+
+
 def marchaud_difference_integral(values: np.ndarray, dt: float, theta: float) -> np.ndarray:
     """M(t_i) = int_0^{t_i} (f(t_i) - f(s)) (t_i - s)^(-theta-1) ds for the
     piecewise-linear interpolant.  The integrand's singular cell at s = t_i
     is finite because the local linear model cancels the singularity."""
     v = np.asarray(values, dtype=float)
     N = len(v) - 1
-    k = np.arange(N, dtype=float)
-    with np.errstate(divide="ignore"):
-        Q0 = dt ** (-theta) * (k ** (-theta) - (k + 1) ** (-theta)) / theta
-    Q0[0] = 0.0  # k = 0 cell handled separately (exact cancellation)
-    Q1 = dt ** (1 - theta) * ((k + 1) ** (1 - theta) - k ** (1 - theta)) / (1 - theta)
-    Q1c = Q1.copy()
-    Q1c[0] = 0.0
-    R = (k + 1) * Q0
-
+    Q0, R, Q1c = _marchaud_kernels(N, dt, theta)
     a = v[:-1]
     b = np.diff(v)
-    cum_q0 = np.cumsum(Q0)
     out = np.zeros(N + 1)
     conv_part = -_conv(a, Q0) - _conv(b, R) + _conv(b, Q1c) / dt
-    out[1:] = v[1:] * cum_q0 + conv_part
+    out[1:] = v[1:] * np.cumsum(Q0) + conv_part
     # nearest cell [t_{i-1}, t_i]: linear model gives slope * dt^(1-theta)/(1-theta)
     out[1:] += b / dt * dt ** (1 - theta) / (1 - theta)
+    return out
+
+
+def marchaud_difference_adjoint(u: np.ndarray, dt: float, theta: float) -> np.ndarray:
+    """The transpose of marchaud_difference_integral: the gradient in the
+    values v (length N+1) of sum_i u[i] * M(t_{i+1}), for u of length N.
+    Each Toeplitz convolution becomes a correlation, a convolution of the
+    reversed weights reversed back."""
+    u = np.asarray(u, dtype=float)
+    N = len(u)
+    Q0, R, Q1c = _marchaud_kernels(N, dt, theta)
+    ur = u[::-1]
+    grad_a = -_conv(ur, Q0)[::-1]
+    grad_b = ((-_conv(ur, R) + _conv(ur, Q1c) / dt)[::-1]
+              + u / dt * dt ** (1 - theta) / (1 - theta))
+    out = np.zeros(N + 1)
+    out[1:] = u * np.cumsum(Q0) + grad_b
+    out[:-1] += grad_a - grad_b
     return out
 
 

@@ -1,11 +1,14 @@
 """The fractional-duality Stieltjes integral and its Riemann-sum rate study.
 
-int_0^T f dg is evaluated as the time integral of
-D_left^theta (1_{[0,t_end]} f) times the sign-adjusted right derivative of
-order 1-theta of g - g(T); the value is theta-independent in the continuum
-and approximately so on the grid.  Riemann-Stieltjes sums over coarser
-partitions converge to the same value at a rate governed by the joint
-regularity of the pair, which rate_study fits empirically.
+int_0^t f dg is the time integral of D_left^theta (1_{[0,t]} f) times the
+sign-adjusted right derivative of order 1-theta of g - g(T); the value is
+theta-independent in the continuum and approximately so on the grid.  The
+pairing is linear in f, so one adjoint vector a, built from g alone, gives
+int_0^{t_m} f dg = sum_{i<=m} a_i f_i at every grid time t_m: the running
+series is one cumulative sum, at the cost of one adjoint pass whatever the
+number of times.  Riemann-Stieltjes sums over coarser partitions converge
+to the same value at a rate governed by the joint regularity of the pair,
+which rate_study fits empirically.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .frac_calc import NormOverflowError, wm_derivative_left, wm_derivative_right_adjusted
+from .frac_calc import (NormOverflowError, marchaud_difference_adjoint,
+                        wm_derivative_left, wm_derivative_right_adjusted)
 from .gridfun import GridFunction
 
 
@@ -32,43 +36,53 @@ def _grid_index(grid, t: float, name: str) -> int:
     return idx
 
 
-def _restrict(f: GridFunction, t_end: float) -> tuple[np.ndarray, int]:
-    """Values of 1_[0,t_end] f on the grid and the index of the grid time t_end."""
-    idx = _grid_index(f.grid, t_end, "t_end")
-    vals = f.values.copy()
-    vals[idx + 1:] = 0.0
-    return vals, idx
+def _pairing_weights(g: GridFunction, theta: float) -> np.ndarray:
+    """The adjoint vector a of the duality pairing against g: for every
+    grid index m, int_0^{t_m} f dg = sum_{i<=m} a_i f_i (m >= 1).
+
+    The pairing of 1_[0,t_m] f is the time integral of D_left^theta of it
+    times W, the sign-adjusted right derivative of g.  The left derivative
+    splits as D(t) = c t^(-theta) + R(t) with c = f(0)/Gamma(1-theta) and R
+    regular at 0.  The singular part is integrated against the
+    piecewise-linear W in closed form per cell (moments of t^(-theta) and
+    t^(1-theta)) and lands on a_0 alone; the regular part R * W gets the
+    trapezoid rule plus the exact piecewise-quadratic correction, with R
+    taken to vanish at t = 0, whose weights omega are carried back through
+    the transposed Marchaud convolutions.  The split spans the whole
+    horizon, so a does not depend on m.  Computed without overflow checks:
+    the callers refuse a series that is not finite."""
+    grid = g.grid
+    dt, times = grid.dt, grid.times
+    W = wm_derivative_right_adjusted(g, theta).values
+    # closed-form integral of t^-theta against the piecewise-linear W
+    ma = np.diff(times ** (1.0 - theta) / (1.0 - theta))
+    mb = np.diff(times ** (2.0 - theta) / (2.0 - theta))
+    dW = np.diff(W)
+    slope = dW / dt
+    singular = np.sum((W[:-1] - slope * times[:-1]) * ma + slope * mb)
+    # weights of R_1..R_N in the trapezoid sum minus sum dR dW dt/6
+    omega = W * dt
+    omega[-1] *= 0.5
+    omega[1:] -= dW * dt / 6.0
+    omega[:-1] += dW * dt / 6.0
+    omega = omega[1:]
+    tau = times[1:] ** (-theta)
+    # D_i = (f_i tau_i + theta M_i) / Gamma(1-theta) for i >= 1
+    a = theta * marchaud_difference_adjoint(omega, dt, theta)
+    a[1:] += omega * tau
+    a[0] += singular - np.dot(omega, tau)
+    return a / Gamma(1.0 - theta)
 
 
-def _duality_time_integral(D: np.ndarray, W: np.ndarray, grid, theta: float,
-                           f0: float) -> float:
-    """Time integral of D * W with the leading singularity handled exactly.
-
-    The left derivative splits as D(t) = c t^(-theta) + R(t) with
-    c = f(0)/Gamma(1-theta) and R regular at 0.  The singular part is
-    integrated against the piecewise-linear W in closed form per cell
-    (moments of t^(-theta) and t^(1-theta)); the regular part R * W gets
-    the trapezoid rule plus the exact piecewise-quadratic correction, with
-    R taken to vanish at t = 0."""
-    dt = grid.dt
-    times = grid.times
-    c = f0 / Gamma(1.0 - theta)
-    if c != 0.0:
-        # per-cell exact integral of t^-theta * (piecewise-linear W)
-        a = times ** (1.0 - theta) / (1.0 - theta)
-        b = times ** (2.0 - theta) / (2.0 - theta)
-        da, db = np.diff(a), np.diff(b)
-        w0, w1 = W[:-1], W[1:]
-        slope = (w1 - w0) / dt
-        intercept = w0 - slope * times[:-1]
-        sing = float(np.sum(intercept * da + slope * db)) * c
-    else:
-        sing = 0.0
-    R = D - c * np.where(times > 0, times, 1.0) ** (-theta)
-    R[0] = 0.0
-    core = np.trapezoid(R * W, dx=dt)
-    core -= np.sum(np.diff(R) * np.diff(W)) * dt / 6.0
-    return float(core + sing)
+def _pairing_series(f: GridFunction, g: GridFunction, theta: float) -> np.ndarray:
+    """int_0^t f dg at every grid time (0 at t = 0) by one adjoint pass;
+    entries past an overflow are inf or nan, for the callers to refuse."""
+    if f.grid.N != g.grid.N or abs(f.grid.T - g.grid.T) > 1e-12:
+        raise ValueError("f and g must share a grid")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by the callers
+        series = np.cumsum(_pairing_weights(g, theta) * f.values)
+    series[0] = 0.0
+    return series
 
 
 def upsample_linear(f: GridFunction, m: int) -> GridFunction:
@@ -83,54 +97,48 @@ def upsample_linear(f: GridFunction, m: int) -> GridFunction:
 
 
 def gls_integrate(f: GridFunction, g: GridFunction, theta: float,
-                  t_end: Optional[float] = None,
-                  _W: Optional[np.ndarray] = None) -> float:
+                  t_end: Optional[float] = None) -> float:
     """int_0^t_end f dg by the fractional duality pairing (t_end defaults
-    to the horizon).  _W allows reusing the right-derivative series of g
-    across many t_end values.  Raises NormOverflowError when a derivative
-    series or the pairing itself is not finite."""
-    if f.grid.N != g.grid.N or abs(f.grid.T - g.grid.T) > 1e-12:
-        raise ValueError("f and g must share a grid")
+    to the horizon and must be a grid time): the entry at t_end of
+    gls_integrate_series, bit for bit.  Raises NormOverflowError when the
+    pairing's integrand D_left^theta (1_[0,t_end] f), the right-derivative
+    series of g or the pairing itself is not finite; the one pass needs no
+    left derivative, so the integrand is computed here only to be checked."""
     if t_end is None:
         t_end = f.grid.T
-    vals, idx = _restrict(f, t_end)
+    idx = _grid_index(f.grid, t_end, "t_end")
+    series = _pairing_series(f, g, theta)
     if idx == 0:
         return 0.0
-    D = wm_derivative_left(GridFunction(f.grid, vals), theta).values
-    W = _W if _W is not None else wm_derivative_right_adjusted(g, theta).values
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        value = _duality_time_integral(D, W, f.grid, theta, vals[0])
+    restricted = np.where(np.arange(f.grid.N + 1) <= idx, f.values, 0.0)
+    wm_derivative_left(GridFunction(f.grid, restricted), theta)
+    value = series[idx]
     if not np.isfinite(value):
         raise NormOverflowError(f"duality pairing up to t = {t_end:g} overflowed to {value}")
-    return value
+    return float(value)
 
 
 def gls_integrate_series(f: GridFunction, g: GridFunction, theta: float,
-                         indices: Optional[Sequence[int]] = None,
                          refine: int = 1) -> GridFunction:
     """t -> int_0^t f dg at every grid time (value 0 at t = 0).
 
-    With ``indices``, only those grid indices are evaluated and the series
-    is linearly interpolated between them; the full series costs one
-    restricted-derivative transform per grid point.  ``refine`` upsamples
-    the pair to a refine-times finer grid before pairing (better time
-    quadrature of the same piecewise-linear data).
+    The pairing is linear in f, so one adjoint vector a of the pairing
+    against g serves every t: the series is the cumulative sum of a * f.
+    Its cost is six convolutions (the right derivative of g and one
+    transposed Marchaud pass), whatever the number of grid times.
+    ``refine`` upsamples the pair to a refine-times finer grid before
+    pairing (better time quadrature of the same piecewise-linear data) and
+    reads the series back at the coarse grid times.  Raises
+    NormOverflowError naming the first grid time at which the running
+    pairing is not finite.
     """
-    N = f.grid.N
-    if refine > 1:
-        fr, gr = upsample_linear(f, refine), upsample_linear(g, refine)
-        idx_r = None if indices is None else [int(i) * refine for i in indices]
-        series = gls_integrate_series(fr, gr, theta, indices=idx_r)
-        return GridFunction(f.grid, series.values[::refine].copy())
-    W = wm_derivative_right_adjusted(g, theta).values
-    if indices is None:
-        indices = range(N + 1)
-    indices = sorted(set(int(i) for i in indices) | {0, N})
-    t = f.grid.times
-    vals_at = np.array([gls_integrate(f, g, theta, t[i], _W=W) for i in indices])
-    out = np.interp(t, t[list(indices)], vals_at)
-    out[0] = 0.0
-    return GridFunction(f.grid, out)
+    fr, gr = upsample_linear(f, refine), upsample_linear(g, refine)
+    series = _pairing_series(fr, gr, theta)
+    bad = np.flatnonzero(~np.isfinite(series))
+    if len(bad):
+        raise NormOverflowError(f"duality pairing overflowed at t = {fr.grid.times[bad[0]]:g}: "
+                                f"{series[bad[0]]}")
+    return GridFunction(f.grid, series[::refine].copy())
 
 
 def riemann_sum(f: GridFunction, g: GridFunction, partition: Sequence[float],

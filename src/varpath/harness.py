@@ -9,6 +9,7 @@ codes: 0 ok, 2 config error, 3 numerical refusal, 4 acceptance failure.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -44,6 +45,24 @@ REFUSALS = (VariabilityRefusal, SolveRefusal, NormOverflowError, AtomBudgetRefus
 
 class ConfigError(ValueError):
     """A config field is missing or out of range; message names the field."""
+
+
+def _check_seed(seed) -> None:
+    """Refuse a master seed that is not a non-negative integer, which
+    numpy's SeedSequence would end in a bare ValueError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed (--seed, the master RNG seed) must be a non-negative "
+                          f"integer, got {seed!r}")
+
+
+def _runner(run: Callable) -> Callable:
+    """A study runner, run(config, seed, out_dir, ...): its seed is checked
+    before any work."""
+    @functools.wraps(run)
+    def checked(config: dict, seed: int, out_dir: str, *args, **kwargs) -> int:
+        _check_seed(seed)
+        return run(config, seed, out_dir, *args, **kwargs)
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +228,7 @@ def path_from_config(config: dict, seed: int):
     """Build a SampledPath from {'path': kind, ...params}.  'N' is at most
     MAX_STEPS: make_fbm's peak memory grows linearly in N, and with dim 2
     it reached 261 MiB at N = 2**20, so about 1 GiB at the bound."""
+    _check_seed(seed)
     kind = _need(config, "path", str)
     if kind not in PATH_FIELDS:
         raise ConfigError(f"unknown path kind {kind!r}")
@@ -217,10 +237,13 @@ def path_from_config(config: dict, seed: int):
         raise ConfigError(f"config field 'horizon' must be positive, got {horizon}")
     grid = TimeGrid(horizon, _need(config, "N", int, low=2, high=MAX_STEPS))
     dim = _need(config, "dim", int, default=2, low=1)
+    if kind == "fbm":
+        hurst = _need(config, "hurst", float, low=0.01, high=0.99)
+        try:
+            return make_fbm(hurst, dim, grid, seed=seed)
+        except ValueError as exc:  # the embedding guard, which names H and N
+            raise ConfigError(f"path 'fbm' cannot be sampled: {exc}") from exc
     try:  # values that overflow, or a parameter outside the family's range
-        if kind == "fbm":
-            return make_fbm(_need(config, "hurst", float, low=0.01, high=0.99),
-                            dim, grid, seed=seed)
         if kind == "power":
             return make_power_path(_need(config, "d", float, low=0.01), grid)
         if kind == "linear":
@@ -248,6 +271,7 @@ def inputs_from_config(config: dict, seed: int):
 # runners
 
 
+@_runner
 def run_path(config: dict, seed: int, out_dir: str) -> int:
     _need(config, "N", int, low=4)  # Holder estimation needs 4 steps
     path = path_from_config(config, seed)
@@ -266,6 +290,7 @@ def run_path(config: dict, seed: int, out_dir: str) -> int:
     return EXIT_OK
 
 
+@_runner
 def run_variability(config: dict, seed: int, out_dir: str) -> int:
     path, phi = inputs_from_config(config, seed)
     params = VariabilityParams(
@@ -280,6 +305,7 @@ def run_variability(config: dict, seed: int, out_dir: str) -> int:
     return EXIT_OK
 
 
+@_runner
 def run_integrate(config: dict, seed: int, out_dir: str) -> int:
     path, phi = inputs_from_config(config, seed)
     theta = _unit_open(config, "theta", default=0.3)
@@ -304,6 +330,7 @@ def run_integrate(config: dict, seed: int, out_dir: str) -> int:
     return EXIT_OK
 
 
+@_runner
 def run_solve(config: dict, seed: int, out_dir: str) -> int:
     _need(config, "N", int, low=4)  # the residual estimates Holder exponents
     driver, sigma = inputs_from_config(config, seed)
@@ -353,6 +380,7 @@ def _validate_trivial() -> list:
     return failures
 
 
+@_runner
 def run_validate(config: dict, seed: int, out_dir: str) -> int:
     suite = config.get("suite", "trivial")
     manifest = Manifest("validate", config, seed)
@@ -396,6 +424,7 @@ def _sweep_cell(runner: Callable, base: dict, cell: dict, master_seed: int,
     return row
 
 
+@_runner
 def run_sweep(config: dict, seed: int, out_dir: str, threads: int = 1) -> int:
     """Cartesian product over config['grid'] = {field: [values...]}, running
     config['study'] per cell with a per-cell derived seed.  Cell failures

@@ -1,5 +1,7 @@
 """Reference implementations that the tests compare the library against."""
 
+from math import gamma as Gamma
+
 import numpy as np
 
 
@@ -124,3 +126,50 @@ def capped_segment_potential(p0, p1, density, x, s, h):
     total = (piece(np.maximum(u0, 0.0), np.maximum(u1, 0.0))
              + piece(np.maximum(-u1, 0.0), np.maximum(-u0, 0.0)))
     return np.asarray(density, dtype=float) @ total
+
+
+def duality_pairing_restricted(f, W, theta, t_end):
+    """int_0^t_end f dg as the forward duality pairing of the restricted
+    integrand, where W is the sign-adjusted right derivative series of g
+    (frac_calc.wm_derivative_right_adjusted): the left Weyl-Marchaud
+    derivative D of 1_[0,t_end] f (f zeroed after the grid time t_end)
+    against W, integrated in time.  D = c t^(-theta) + R with
+    c = f(0)/Gamma(1-theta); the singular part is integrated against the
+    piecewise-linear W in closed form per cell, and R * W (R taken to
+    vanish at t = 0) by the trapezoid rule plus the exact piecewise-
+    quadratic correction.  The per-time reference for gls_integral's
+    one-pass series."""
+    from varpath.frac_calc import wm_derivative_left
+    from varpath.gridfun import GridFunction
+
+    grid = f.grid
+    idx = int(round(t_end / grid.dt))
+    if idx == 0:
+        return 0.0
+    vals = f.values.copy()
+    vals[idx + 1:] = 0.0
+    D = wm_derivative_left(GridFunction(grid, vals), theta).values
+    dt, times = grid.dt, grid.times
+    c = vals[0] / Gamma(1.0 - theta)
+    a = times ** (1.0 - theta) / (1.0 - theta)
+    b = times ** (2.0 - theta) / (2.0 - theta)
+    slope = (W[1:] - W[:-1]) / dt
+    intercept = W[:-1] - slope * times[:-1]
+    sing = float(np.sum(intercept * np.diff(a) + slope * np.diff(b))) * c
+    R = D - c * np.where(times > 0, times, 1.0) ** (-theta)
+    R[0] = 0.0
+    core = np.trapezoid(R * W, dx=dt) - np.sum(np.diff(R) * np.diff(W)) * dt / 6.0
+    return float(core + sing)
+
+
+def pairing_series_restricted(f, g, theta, refine=1):
+    """int_0^t f dg at every grid time by one restricted forward pairing
+    per time (duality_pairing_restricted), on the pair upsampled refine
+    times and read back at the coarse grid times."""
+    from varpath.frac_calc import wm_derivative_right_adjusted
+    from varpath.gls_integral import upsample_linear
+
+    fr, gr = upsample_linear(f, refine), upsample_linear(g, refine)
+    W = wm_derivative_right_adjusted(gr, theta).values
+    return np.array([duality_pairing_restricted(fr, W, theta, t)
+                     for t in fr.grid.times[::refine]])

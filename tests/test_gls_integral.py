@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from varpath import doss, frac_calc
+from varpath.bv_library import MatrixBV, constant_scalar
+from varpath.frac_calc import wm_derivative_right_adjusted
 from varpath.gls_integral import (NormOverflowError, gls_integrate,
                                   gls_integrate_series, rate_study,
                                   riemann_sum, upsample_linear)
 from varpath.gridfun import GridFunction
-from varpath.grid_paths import TimeGrid, make_fbm
+from varpath.grid_paths import SampledPath, TimeGrid, make_fbm
+
+from oracles import duality_pairing_restricted, pairing_series_restricted
 
 
 GRID = TimeGrid(1.0, 4096)
@@ -62,7 +67,7 @@ def test_series_starts_at_zero_and_ends_at_full_value():
     grid = TimeGrid(1.0, 512)
     f = gf(lambda t: t, grid)
     g = gf(lambda t: np.sin(2 * t), grid)
-    series = gls_integrate_series(f, g, theta=0.4, indices=range(0, 513, 32))
+    series = gls_integrate_series(f, g, theta=0.4)
     assert series.values[0] == 0.0
     assert series.values[-1] == pytest.approx(gls_integrate(f, g, 0.4), abs=1e-12)
     # t_end must be a grid time: an off-grid value is refused, not snapped
@@ -76,9 +81,8 @@ def test_refine_reduces_quadrature_error():
     f = gf(lambda t: np.sin(2 * np.pi * t) + t, grid)
     g = gf(lambda t: np.cos(3 * t), grid)
     exact = np.trapezoid(f.values * np.gradient(g.values, grid.dt), grid.times)
-    idx = range(0, 513, 64)
-    e1 = abs(gls_integrate_series(f, g, 0.4, idx, refine=1).values[-1] - exact)
-    e4 = abs(gls_integrate_series(f, g, 0.4, idx, refine=4).values[-1] - exact)
+    e1 = abs(gls_integrate_series(f, g, 0.4, refine=1).values[-1] - exact)
+    e4 = abs(gls_integrate_series(f, g, 0.4, refine=4).values[-1] - exact)
     assert e4 <= e1 + 1e-9
 
 
@@ -136,4 +140,80 @@ def test_overflow_is_a_refusal():
     with pytest.raises(NormOverflowError, match="duality pairing up to t = 1 overflowed"):
         gls_integrate(f, g, 0.4)
     with pytest.raises(NormOverflowError, match="duality pairing"):
-        gls_integrate_series(f, g, 0.4, indices=[0, 32, 64])
+        gls_integrate_series(f, g, 0.4)
+
+
+def test_overflow_refusal_names_the_first_time_it_is_not_finite():
+    # the integrand is 0 before t = 0.5 and 1e300 from there on: the
+    # running pairing is finite up to t = 0.5 - dt and refused from t = 0.5
+    grid = TimeGrid(1.0, 64)
+    f = gf(lambda t: np.where(t >= 0.5, 1e300, 0.0), grid)
+    g = gf(lambda t: 1e300 * t, grid)
+    with pytest.raises(NormOverflowError, match="duality pairing overflowed at t = 0.5: "):
+        gls_integrate_series(f, g, 0.4)
+    assert np.isfinite(gls_integrate(f, g, 0.4, t_end=grid.times[31]))
+    with pytest.raises(NormOverflowError, match="duality pairing up to t = 0.5 overflowed"):
+        gls_integrate(f, g, 0.4, t_end=0.5)
+
+
+@pytest.mark.parametrize("N", [256, 1024])
+@pytest.mark.parametrize("refine", [1, 4])
+@pytest.mark.parametrize("theta", [0.3, 0.45])
+def test_adjoint_series_matches_the_restricted_pairings(N, refine, theta):
+    # the one-pass series against one restricted forward pairing per grid
+    # time (the brute-force oracle), on a rough pair with f(0) != 0
+    grid = TimeGrid(1.0, N)
+    Y = make_fbm(0.7, 2, grid, seed=3)
+    f = GridFunction(grid, np.cos(3 * Y.values[:, 0]) + 0.5)
+    g = GridFunction(grid, Y.values[:, 1])
+    series = gls_integrate_series(f, g, theta, refine=refine).values
+    oracle = pairing_series_restricted(f, g, theta, refine)
+    assert np.abs(series - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    # the series is the cumulative sum of f times the pairings of the unit
+    # vectors against g over the whole horizon (checked on the grid itself)
+    # and a single pairing up to a grid time is its entry there, bit for bit
+    if refine == 1:
+        W = wm_derivative_right_adjusted(g, theta).values
+        unit = np.array([duality_pairing_restricted(GridFunction(grid, e), W, theta, 1.0)
+                         for e in np.eye(N + 1)])
+        cumulative = np.cumsum(unit * f.values)
+        cumulative[0] = 0.0
+        assert np.abs(series - cumulative).max() <= 1e-12 * np.abs(oracle).max()
+        assert all(gls_integrate(f, g, theta, t_end=t) == s
+                   for t, s in zip(grid.times, series))
+
+
+def test_series_costs_a_fixed_number_of_convolutions(monkeypatch):
+    # one adjoint pass per series: the fractional convolutions it makes do
+    # not grow with N, nor with the number of times residual reports
+    calls = []
+    real_conv = frac_calc._conv
+
+    def counted(a, kern):
+        calls.append(len(a))
+        return real_conv(a, kern)
+
+    monkeypatch.setattr(frac_calc, "_conv", counted)
+
+    def count(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    per_series = []
+    for N in (256, 4096):
+        grid = TimeGrid(1.0, N)
+        f, g = gf(lambda t: np.cos(t), grid), gf(lambda t: np.sin(3 * t), grid)
+        per_series.append(count(lambda: gls_integrate_series(f, g, 0.4, refine=4)))
+    assert per_series[0] == per_series[1] == 6
+
+    grid = TimeGrid(1.0, 256)
+    t = grid.times
+    Y = SampledPath(grid, 2, np.column_stack([np.sin(2 * t), t - t * t]))
+    sigma = MatrixBV(2, ((constant_scalar(1.5, 2), constant_scalar(0.0, 2)),
+                         (constant_scalar(0.0, 2), constant_scalar(1.5, 2))))
+    X = SampledPath(grid, 2, 1.5 * Y.values)
+    reports = [count(lambda: doss.residual(X, sigma, Y, [0.0, 0.0], 0.35, s=0.45,
+                                           n_checkpoints=n))
+               for n in (2, 32, None)]
+    assert reports == [2 * 2 * per_series[0]] * 3

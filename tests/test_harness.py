@@ -157,6 +157,44 @@ def test_run_sweep_captures_failures(tmp_path):
     assert "error" in table["rows"][2]
 
 
+def test_every_runner_refuses_a_bad_seed_naming_it(tmp_path):
+    # a Python caller's negative seed used to end in SeedSequence's bare
+    # ValueError from a sweep, and to be blamed on the fbm fields by a path
+    path_cfg = {"path": "fbm", "hurst": 0.7, "N": 64, "dim": 2}
+    configs = {"path": path_cfg, "validate": {"suite": "trivial"},
+               "variability": {**path_cfg, "coefficient": "cantor", "s": 0.5},
+               "integrate": {**path_cfg, "dim": 1, "coefficient": "constant"},
+               "solve": {**path_cfg, "coefficient": "jump_line"}}
+    assert set(configs) == set(RUNNERS)
+    for seed in (-1, 1.5, True):
+        for name, runner in RUNNERS.items():
+            with pytest.raises(ConfigError, match=r"^seed \(--seed, the master RNG seed\) "
+                                                  r"must be a non-negative integer"):
+                runner(configs[name], seed, str(tmp_path))
+        with pytest.raises(ConfigError, match=r"^seed \(--seed"):
+            run_sweep({"study": "path", **path_cfg, "grid": {"hurst": [0.7]}}, seed,
+                      str(tmp_path))
+        with pytest.raises(ConfigError, match=r"^seed \(--seed"):
+            path_from_config(path_cfg, seed)
+    assert not list(tmp_path.iterdir())
+
+
+def test_fbm_sampler_refusal_is_not_blamed_on_the_fields(monkeypatch):
+    # the sampler's embedding guard names H and N itself; the fields
+    # 'hurst', 'horizon', 'dim' did not cause it
+    from varpath import grid_paths, harness
+
+    def indefinite(hurst, dim, grid, seed):
+        return grid_paths._fgn_circulant_sqrt_eigs(1.5, grid.N)
+
+    monkeypatch.setattr(harness, "make_fbm", indefinite)
+    with pytest.raises(ConfigError) as info:
+        path_from_config({"path": "fbm", "hurst": 0.7, "N": 8}, seed=0)
+    msg = str(info.value)
+    assert msg.startswith("path 'fbm' cannot be sampled: circulant embedding of fGn at H=1.5, N=8")
+    assert "config fields" not in msg
+
+
 def test_run_sweep_threaded_matches_serial(tmp_path):
     cfg = {"study": "path", "path": "fbm", "N": 256, "dim": 1,
            "grid": {"hurst": [0.6, 0.7, 0.8, 0.9]}}
