@@ -325,8 +325,7 @@ def _sector(name: str, sides: tuple, ends: tuple, height: float) -> ScalarBV:
         values = [side(pts[:, 0], pts[:, 1]) for side in sides]
         inside = np.logical_and.reduce([s > 0 for s in values])
         closed = np.logical_and.reduce([s >= 0 for s in values])
-        # the rare edge points go last: np.where runs slower on a mixed mask
-        return np.where(closed ^ inside, 0.5 * height, np.where(inside, height, 0.0))
+        return (0.5 * height) * np.add(inside, closed, dtype=float)
 
     def grad(box, level):
         box = np.asarray(box, dtype=float).reshape(2, 2)

@@ -501,17 +501,19 @@ def _witness_exponent(alpha: float, gamma: float) -> float:
     return float(np.clip(0.5 * (lower + 1.0), 0.05, 0.95))
 
 
-def _pairing_sum(coefficients, X: SampledPath, Z: SampledPath, theta: float,
+def _pairing_sum(rows, X: SampledPath, Z: SampledPath, theta: float,
                  idx: np.ndarray, refine: int) -> np.ndarray:
-    """sum_k int_0^t phi_k(X) dZ^k at the checkpoint indices idx, for the
-    coefficients phi_k in order, each a duality-pairing series.  A series
-    costs the same at every grid time, so idx only picks what is read."""
-    total = np.zeros(X.grid.N + 1)
-    for k, phi in enumerate(coefficients):
-        integrand = GridFunction(X.grid, phi(X.values))
+    """sum_k int_0^t phi_jk(X) dZ^k at the checkpoint indices idx for each
+    coefficient row j, shape (rows, len(idx)): one series per coordinate k
+    carries every row's integrand, added in k order.  A series costs the
+    same at every grid time, so idx only picks what is read."""
+    total = np.zeros((X.grid.N + 1, len(rows)))
+    for k, column in enumerate(zip(*rows)):
+        integrands = np.column_stack([phi(X.values) for phi in column])
         driver = GridFunction(Z.grid, Z.values[:, k])
-        total += gls_integrate_series(integrand, driver, theta, refine=refine).values
-    return total[idx]
+        total += gls_integrate_series(SampledPath(X.grid, len(rows), integrands), driver,
+                                      theta, refine=refine).values
+    return total[idx].T
 
 
 @dataclass(frozen=True)
@@ -523,16 +525,6 @@ class ResidualReport:
     classifier_report: dict
     theta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "sup": self.sup,
-            "by_component": self.by_component.tolist(),
-            "checkpoint_times": self.checkpoint_times.tolist(),
-            "s_witness": self.s_witness,
-            "classifier_report": self.classifier_report,
-            "theta": self.theta,
-        }
-
 
 def residual(X: SampledPath, sigma: MatrixBV, Y: SampledPath, x0,
              theta: float, *, s: Optional[float] = None,
@@ -541,29 +533,27 @@ def residual(X: SampledPath, sigma: MatrixBV, Y: SampledPath, x0,
     """Sup-norm residual of the integral equation
     X^j_t - x0_j - sum_k int_0^t sigma_jk(X) dY^k, evaluated at checkpoint
     times via the duality-pairing integral (time quadrature refined by
-    ``refine`` on the piecewise-linear data).
+    ``refine`` on the piecewise-linear data), every row j at once: one
+    pairing series per driver coordinate k.
 
     Precondition: the variability classifier (p = 1, levels 5, 7 and 9, on
     X subsampled to at most CLASSIFIER_POINTS steps) must not return
     'diverging' for (X, sigma) at the witness exponent s (by default the
     midpoint of the admissible interval derived from the estimated Hoelder
-    exponents).
+    exponents, which are estimated only then).
     """
     x0 = np.asarray(x0, dtype=float).reshape(sigma.dim)
     if X.dim != sigma.dim or Y.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    alpha = estimate_holder(X).exponent
-    gamma = estimate_holder(Y).exponent
-    s_w = s if s is not None else _witness_exponent(alpha, gamma)
-    params = VariabilityParams(s=s_w, p=1.0, levels=(5, 7, 9))
+    if s is None:
+        s = _witness_exponent(estimate_holder(X).exponent, estimate_holder(Y).exponent)
+    params = VariabilityParams(s=s, p=1.0, levels=(5, 7, 9))
     report = require_finite(_subsampled(X), sigma, params, context="solution residual")
 
     idx = _checkpoint_indices(X.grid.N, n_checkpoints)
-    by_comp = np.array([X.values[idx, j] - x0[j]
-                        - _pairing_sum(row, X, Y, theta, idx, refine)
-                        for j, row in enumerate(sigma.entries)])
+    by_comp = (X.values[idx] - x0).T - _pairing_sum(sigma.entries, X, Y, theta, idx, refine)
     return ResidualReport(float(np.abs(by_comp).max()), by_comp,
-                          X.grid.times[idx], s_w, report.to_dict(), theta)
+                          X.grid.times[idx], s, report.to_dict(), theta)
 
 
 def uniqueness_check(X: SampledPath, maps: DossMaps, Y: SampledPath, x0) -> float:
@@ -623,6 +613,6 @@ def change_of_variable_check(F: BVGradientMap, X: SampledPath, theta: float,
 
     idx = _checkpoint_indices(X.grid.N, n_checkpoints)
     Fvals = np.asarray(F.evaluate(X.values), dtype=float).ravel()
-    vals = Fvals[idx] - Fvals[0] - _pairing_sum(F.partials, X, X, theta, idx, refine)
+    vals = Fvals[idx] - Fvals[0] - _pairing_sum((F.partials,), X, X, theta, idx, refine)[0]
     return ChangeOfVariableReport(float(np.abs(vals).max()), vals,
                                   X.grid.times[idx], s_w, alpha, theta)

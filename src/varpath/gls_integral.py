@@ -6,14 +6,15 @@ theta-independent in the continuum and approximately so on the grid.  The
 pairing is linear in f, so one adjoint vector a, built from g alone, gives
 int_0^{t_m} f dg = sum_{i<=m} a_i f_i at every grid time t_m: the running
 series is one cumulative sum, at the cost of one adjoint pass whatever the
-number of times.  Riemann-Stieltjes sums over coarser partitions converge
-to the same value at a rate governed by the joint regularity of the pair,
-which rate_study fits empirically.
+number of times and of integrands: a SampledPath f is one integrand per
+column, a GridFunction one column.  Riemann-Stieltjes sums over coarser
+partitions converge to the same value at a rate governed by the joint
+regularity of the pair, which rate_study fits empirically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gamma as Gamma
 from typing import Optional, Sequence
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .frac_calc import (NormOverflowError, marchaud_difference_adjoint,
                         wm_derivative_left, wm_derivative_right_adjusted)
+from .grid_paths import SampledPath, TimeGrid
 from .gridfun import GridFunction
 
 
@@ -74,26 +76,28 @@ def _pairing_weights(g: GridFunction, theta: float) -> np.ndarray:
     return a / Gamma(1.0 - theta)
 
 
-def _pairing_series(f: GridFunction, g: GridFunction, theta: float) -> np.ndarray:
-    """int_0^t f dg at every grid time (0 at t = 0) by one adjoint pass;
-    entries past an overflow are inf or nan, for the callers to refuse."""
+def _pairing_series(f: GridFunction | SampledPath, g: GridFunction, theta: float) -> np.ndarray:
+    """int_0^t f dg at every grid time (0 at t = 0) by one adjoint pass, one
+    column per column of f; entries past an overflow are inf or nan, for
+    the callers to refuse."""
     if f.grid.N != g.grid.N or abs(f.grid.T - g.grid.T) > 1e-12:
         raise ValueError("f and g must share a grid")
+    a = _pairing_weights(g, theta)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by the callers
-        series = np.cumsum(_pairing_weights(g, theta) * f.values)
+        series = np.cumsum(a[:, None] * f.values.reshape(len(a), -1), axis=0)
     series[0] = 0.0
     return series
 
 
-def upsample_linear(f: GridFunction, m: int) -> GridFunction:
-    """The same piecewise-linear function on an m-times finer grid.  Used
-    to refine the time quadrature of the duality pairing: the continuum
-    object is unchanged, only the integration nodes multiply."""
+def upsample_linear(f: GridFunction | SampledPath, m: int) -> GridFunction | SampledPath:
+    """The same piecewise-linear function, each column of it, on an m-times
+    finer grid.  Used to refine the time quadrature of the duality pairing:
+    the continuum object is unchanged, only the integration nodes multiply."""
     if m == 1:
         return f
-    from .grid_paths import TimeGrid
     fine = TimeGrid(f.grid.T, f.grid.N * m)
-    return GridFunction(fine, np.interp(fine.times, f.grid.times, f.values))
+    cols = [np.interp(fine.times, f.grid.times, c) for c in f.values.reshape(f.grid.N + 1, -1).T]
+    return replace(f, grid=fine, values=np.column_stack(cols))
 
 
 def gls_integrate(f: GridFunction, g: GridFunction, theta: float,
@@ -107,7 +111,7 @@ def gls_integrate(f: GridFunction, g: GridFunction, theta: float,
     if t_end is None:
         t_end = f.grid.T
     idx = _grid_index(f.grid, t_end, "t_end")
-    series = _pairing_series(f, g, theta)
+    series = _pairing_series(f, g, theta)[:, 0]
     if idx == 0:
         return 0.0
     restricted = np.where(np.arange(f.grid.N + 1) <= idx, f.values, 0.0)
@@ -118,27 +122,32 @@ def gls_integrate(f: GridFunction, g: GridFunction, theta: float,
     return float(value)
 
 
-def gls_integrate_series(f: GridFunction, g: GridFunction, theta: float,
-                         refine: int = 1) -> GridFunction:
-    """t -> int_0^t f dg at every grid time (value 0 at t = 0).
+def gls_integrate_series(f: GridFunction | SampledPath, g: GridFunction, theta: float,
+                         refine: int = 1) -> GridFunction | SampledPath:
+    """t -> int_0^t f dg at every grid time (value 0 at t = 0), for each
+    column of f (a GridFunction, or a SampledPath of integrands), returned
+    as the type of f.
 
     The pairing is linear in f, so one adjoint vector a of the pairing
-    against g serves every t: the series is the cumulative sum of a * f.
-    Its cost is six convolutions (the right derivative of g and one
-    transposed Marchaud pass), whatever the number of grid times.
-    ``refine`` upsamples the pair to a refine-times finer grid before
-    pairing (better time quadrature of the same piecewise-linear data) and
-    reads the series back at the coarse grid times.  Raises
-    NormOverflowError naming the first grid time at which the running
-    pairing is not finite.
+    against g serves every t and every column: the series is the cumulative
+    sum of a * f.  Its cost is six convolutions (the right derivative of g
+    and one transposed Marchaud pass), whatever the number of grid times
+    and columns.  ``refine``, a positive integer, upsamples the pair to a
+    refine-times finer grid before pairing (better time quadrature of the
+    same piecewise-linear data) and reads the series back at the coarse
+    grid times.  Raises NormOverflowError naming the first grid time at
+    which a running pairing is not finite.
     """
+    if isinstance(refine, bool) or not isinstance(refine, (int, np.integer)) or refine < 1:
+        raise ValueError(f"refine must be a positive integer, got {refine!r}")
     fr, gr = upsample_linear(f, refine), upsample_linear(g, refine)
     series = _pairing_series(fr, gr, theta)
-    bad = np.flatnonzero(~np.isfinite(series))
+    bad = np.argwhere(~np.isfinite(series))
     if len(bad):
-        raise NormOverflowError(f"duality pairing overflowed at t = {fr.grid.times[bad[0]]:g}: "
-                                f"{series[bad[0]]}")
-    return GridFunction(f.grid, series[::refine].copy())
+        i, j = bad[0]
+        raise NormOverflowError(f"duality pairing overflowed at t = {fr.grid.times[i]:g}: "
+                                f"{series[i, j]}")
+    return replace(f, values=series[::refine].copy())
 
 
 def riemann_sum(f: GridFunction, g: GridFunction, partition: Sequence[float],

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Callable, Optional
 
@@ -351,7 +351,7 @@ def run_solve(config: dict, seed: int, out_dir: str) -> int:
                    n_checkpoints=_need(config, "n_checkpoints", int, default=32, low=2))
     uniq = uniqueness_check(X, maps, driver, x0)
     _write_json(out_dir, "solve_report.json", {
-        "residual": rep.to_dict(), "uniqueness_sup": uniq,
+        "residual": asdict(rep), "uniqueness_sup": uniq,
         "x0": x0, "theta": theta,
     }, manifest)
     manifest.write(out_dir)

@@ -173,3 +173,20 @@ def pairing_series_restricted(f, g, theta, refine=1):
     W = wm_derivative_right_adjusted(gr, theta).values
     return np.array([duality_pairing_restricted(fr, W, theta, t)
                      for t in fr.grid.times[::refine]])
+
+
+def pairing_sum_by_entry(coefficients, X, Z, theta, idx, refine):
+    """sum_k int_0^t phi_k(X) dZ^k at the checkpoint indices idx for one
+    row of coefficients phi_k, by one pairing series per entry (each
+    rebuilding its driver's adjoint vector), added in k order: the
+    per-entry reference for doss._pairing_sum's one series per
+    coordinate."""
+    from varpath.gls_integral import gls_integrate_series
+    from varpath.gridfun import GridFunction
+
+    total = np.zeros(X.grid.N + 1)
+    for k, phi in enumerate(coefficients):
+        integrand = GridFunction(X.grid, phi(X.values))
+        driver = GridFunction(Z.grid, Z.values[:, k])
+        total += gls_integrate_series(integrand, driver, theta, refine=refine).values
+    return total[idx]

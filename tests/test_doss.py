@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from varpath.bv_library import (MatrixBV, ScalarBV, cantor_matrix, cone_matrix,
-                                constant_scalar, jump_line_matrix)
+                                constant_scalar, halfplane_x1_positive, jump_line_matrix)
 from varpath.doss import (SUBSTEPS, BVGradientMap, DossMaps, SolveRefusal, _PotentialTable,
-                          build_solution, change_of_variable_check, closed_form_maps,
-                          residual, solve_nd, uniqueness_check)
+                          _checkpoint_indices, build_solution, change_of_variable_check,
+                          closed_form_maps, residual, solve_nd, uniqueness_check)
 from varpath.grid_paths import SampledPath, TimeGrid, make_fbm
 from varpath.measures import DiscreteMeasure
 
+from oracles import pairing_sum_by_entry
 from test_bv_library import _sigma_3d
 
 
@@ -261,6 +262,38 @@ def test_change_of_variable_constant_offset_invariance():
                                   n_checkpoints=16)
     assert r0.sup == pytest.approx(r7.sup, abs=1e-12)
     assert r0.sup < 1e-2
+
+
+#: residual_decay's families: map parameters, sigma, driver Hurst index, x0
+RESIDUAL_FAMILIES = {
+    "jump_line": ({"c": 2.0}, jump_line_matrix(2.0), 0.75, (1.0, 1.0)),
+    "cantor_shear": ({}, cantor_matrix(), 0.8, (0.3, 0.4)),
+}
+
+
+@pytest.mark.parametrize("family", RESIDUAL_FAMILIES)
+@pytest.mark.parametrize("refine", [1, 4])
+def test_pairing_sums_equal_the_per_entry_series(family, refine):
+    # one series per driver coordinate, carrying every row's integrand,
+    # gives the residual and the change-of-variable values of one series
+    # per matrix entry added in k order, bit for bit
+    params, sigma, hurst, x0 = RESIDUAL_FAMILIES[family]
+    grid = TimeGrid(1.0, 1024)
+    Y = make_fbm(hurst, 2, grid, seed=1)
+    x0 = np.array(x0)
+    X = build_solution(closed_form_maps(family, **params), Y, x0)
+    idx = _checkpoint_indices(grid.N, 32)
+    rep = residual(X, sigma, Y, x0, 0.3, s=0.45, n_checkpoints=32, refine=refine)
+    oracle = np.array([X.values[idx, j] - x0[j]
+                       - pairing_sum_by_entry(row, X, Y, 0.3, idx, refine)
+                       for j, row in enumerate(sigma.entries)])
+    assert np.array_equal(rep.by_component, oracle)
+    F = BVGradientMap(2, lambda p: np.maximum(p[:, 0], 0.0) + 2.0 * p[:, 1],
+                      (halfplane_x1_positive(), constant_scalar(2.0, 2)))
+    cov = change_of_variable_check(F, X, 0.3, s=0.45, n_checkpoints=32, refine=refine)
+    Fvals = F.evaluate(X.values)
+    assert np.array_equal(cov.values, Fvals[idx] - Fvals[0]
+                          - pairing_sum_by_entry(F.partials, X, X, 0.3, idx, refine))
 
 
 def test_change_of_variable_refuses_rough_path():

@@ -213,7 +213,50 @@ def test_series_costs_a_fixed_number_of_convolutions(monkeypatch):
     sigma = MatrixBV(2, ((constant_scalar(1.5, 2), constant_scalar(0.0, 2)),
                          (constant_scalar(0.0, 2), constant_scalar(1.5, 2))))
     X = SampledPath(grid, 2, 1.5 * Y.values)
+    # one series per driver coordinate carries both rows of sigma
     reports = [count(lambda: doss.residual(X, sigma, Y, [0.0, 0.0], 0.35, s=0.45,
                                            n_checkpoints=n))
                for n in (2, 32, None)]
-    assert reports == [2 * 2 * per_series[0]] * 3
+    assert reports == [2 * per_series[0]] * 3
+    F = doss.BVGradientMap(2, lambda p: 1.5 * p.sum(axis=1),
+                           (constant_scalar(1.5, 2), constant_scalar(1.5, 2)))
+    assert count(lambda: doss.change_of_variable_check(F, X, 0.35, s=0.45)) == 2 * per_series[0]
+
+
+@pytest.mark.parametrize("refine", [1, 4])
+def test_columns_pair_as_single_series(refine):
+    # a SampledPath of integrands pairs each column against g from one
+    # adjoint pass, bit for bit as one GridFunction series per column
+    grid = TimeGrid(1.0, 512)
+    Y = make_fbm(0.7, 3, grid, seed=5)
+    g = GridFunction(grid, Y.values[:, 0])
+    F = SampledPath(grid, 3, np.column_stack([np.cos(3 * Y.values[:, 1]) + 0.5,
+                                              np.abs(Y.values[:, 2]), grid.times]))
+    series = gls_integrate_series(F, g, 0.35, refine=refine)
+    assert isinstance(series, SampledPath) and series.values.shape == (grid.N + 1, 3)
+    for j in range(3):
+        single = gls_integrate_series(GridFunction(grid, F.values[:, j]), g, 0.35, refine=refine)
+        assert np.array_equal(series.values[:, j], single.values)
+
+
+def test_overflow_in_one_column_is_refused_at_its_first_time():
+    # column 0 stays finite, column 1 overflows from t = 0.75 and column 2
+    # from t = 0.5: the refusal names t = 0.5
+    grid = TimeGrid(1.0, 64)
+    t = grid.times
+    F = SampledPath(grid, 3, np.column_stack([np.cos(t), np.where(t >= 0.75, 1e300, 0.0),
+                                              np.where(t >= 0.5, 1e300, 0.0)]))
+    g = gf(lambda t: 1e300 * t, grid)
+    with pytest.raises(NormOverflowError, match="duality pairing overflowed at t = 0.5: "):
+        gls_integrate_series(F, g, 0.4)
+    first_two = SampledPath(grid, 2, F.values[:, :2])
+    with pytest.raises(NormOverflowError, match="duality pairing overflowed at t = 0.75: "):
+        gls_integrate_series(first_two, g, 0.4)
+
+
+@pytest.mark.parametrize("refine", [0, -1, 2.5, True])
+def test_refine_must_be_a_positive_integer(refine):
+    grid = TimeGrid(1.0, 64)
+    f, g = gf(np.cos, grid), gf(np.sin, grid)
+    with pytest.raises(ValueError, match=f"refine must be a positive integer, got {refine!r}"):
+        gls_integrate_series(f, g, 0.4, refine=refine)
